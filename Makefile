@@ -48,9 +48,13 @@ lint:
 # counterexample the checker replays stranded through the dynamic
 # walker; the stretch gadget leg must fail the stretch check (and only
 # it) at --stretch-bound 1.  Both gadgets verify clean when healthy.
+# The 44K leg runs the packet-network builder and the FIB audit at the
+# paper's 44,340 ASes (about 4 s on a 2-vCPU box) and must verify clean.
 static-check:
 	dune exec bin/mifo_sim.exe -- check --ases 150 --seed 42 \
 		--props loops,delivery,stretch,resilience >/dev/null
+	dune exec bin/mifo_sim.exe -- check --ases 44340 --dests 2 --fail-links 8 \
+		--hosts 24 --props loops,delivery,stretch,resilience >/dev/null
 	dune exec bin/mifo_sim.exe -- check --ases 150 --seed 42 -k 2 \
 		--props loops,delivery,stretch,resilience >/dev/null
 	dune exec bin/mifo_sim.exe -- check --k2-gadget --no-tag-check -k 1 >/dev/null

@@ -646,7 +646,7 @@ let paths_cmd =
   let k_t =
     Arg.(
       value
-      & opt int (Mifo_core.Fib.default_k ())
+      & opt (some int) None
       & info [ "k" ] ~docv:"K"
           ~doc:
             "Ranked alternatives considered per hop (default: the $(b,MIFO_K_ALT) \
@@ -654,6 +654,17 @@ let paths_cmd =
   in
   let run obs ctx src dst limit max_paths early_stop k =
     with_obs obs @@ fun () ->
+    (* resolved here, not when the command line is built, so a malformed
+       MIFO_K_ALT fails only the command that reads it *)
+    let k =
+      match k with
+      | Some k -> k
+      | None -> (
+        try Mifo_core.Fib.default_k ()
+        with Invalid_argument msg ->
+          Printf.eprintf "mifo-sim: %s\n" msg;
+          exit 2)
+    in
     let g = Context.graph ctx in
     let rt = Mifo_bgp.Routing_table.get ctx.Context.table dst in
     let show path = String.concat " -> " (List.map string_of_int path) in

@@ -7,26 +7,58 @@ module Routing = Mifo_bgp.Routing
 
 (* ---------- FIB / RIB consistency ---------- *)
 
+(* Host-prefix index over [routing], built once per audit: the audited
+   prefixes' keys ([network * 64 + length], so the length takes part in
+   the match as in [Prefix.equal]) sorted ascending, and the [(d, rt)]
+   listings in the same order.  The sort is stable, so a destination
+   listed twice resolves to its first listing. *)
+let prefix_key (p : Prefix.t) =
+  ((Int32.to_int p.Prefix.network land 0xFFFFFFFF) lsl 6) lor p.Prefix.length
+
+let host_index routing =
+  let listed = Array.of_list routing in
+  let order = Array.init (Array.length listed) Fun.id in
+  let keys = Array.map (fun (d, _) -> prefix_key (Prefix.of_as d)) listed in
+  Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
+  (Array.map (fun i -> keys.(i)) order, Array.map (fun i -> listed.(i)) order)
+
+(* Whether the RIB of [v] toward [rt]'s destination holds a route via
+   neighbor AS [nb] — a scan of the packed entries, no boxed view. *)
+let rib_backed rt v nb =
+  let size = Routing.rib_size rt v in
+  let rec scan i = i < size && (Routing.rib_via rt v i = nb || scan (i + 1)) in
+  scan 0
+
+(* Role names are built only for a recorded violation: [-1] is the
+   default port, [i >= 0] ranked alternative slot [i]. *)
+let role_name slot = if slot < 0 then "default" else Printf.sprintf "alt[%d]" slot
+
 let audit_fibs sim ~routing =
   let violations = ref [] in
   let checked = ref 0 in
   let add v = violations := v :: !violations in
-  let dest_of_prefix p =
-    List.find_opt (fun (d, _) -> Prefix.equal (Prefix.of_as d) p) routing
-  in
+  let keys, dests = host_index routing in
   for id = 0 to Packetsim.node_count sim - 1 do
     match Packetsim.node_view sim id with
     | Packetsim.Host_view _ -> ()
     | Packetsim.Router_view { as_id } ->
       Fib.iter (Packetsim.fib sim id) (fun prefix entry ->
           incr checked;
-          let pstr = Prefix.to_string prefix in
-          let dangling port reason =
-            add (Report.Dangling_fib_port { node = id; prefix = pstr; port; reason })
+          let host = Mifo_util.Sort.find_first keys (prefix_key prefix) in
+          (* [what] completes the reason after the role name *)
+          let dangling slot port what =
+            add
+              (Report.Dangling_fib_port
+                 {
+                   node = id;
+                   prefix = Prefix.to_string prefix;
+                   port;
+                   reason = role_name slot ^ " " ^ what;
+                 })
           in
-          let check_port ~role port =
+          let check_port slot port =
             if port < 0 || port >= Packetsim.port_count sim id then
-              dangling port (role ^ " port out of range")
+              dangling slot port "port out of range"
             else begin
               let peer, _ = Packetsim.port_peer sim id port in
               match Packetsim.port_kind sim id port with
@@ -34,51 +66,41 @@ let audit_fibs sim ~routing =
                 match Packetsim.node_view sim peer with
                 | Packetsim.Host_view { addr } ->
                   if not (Prefix.contains prefix addr) then
-                    dangling port (role ^ " local port's host lies outside the prefix")
+                    dangling slot port "local port's host lies outside the prefix"
                 | Packetsim.Router_view _ ->
-                  dangling port (role ^ " local port wired to a router"))
-              | Engine.Ebgp { neighbor_as; _ } -> (
+                  dangling slot port "local port wired to a router")
+              | Engine.Ebgp { neighbor_as; _ } ->
                 (match Packetsim.node_view sim peer with
                  | Packetsim.Router_view { as_id = peer_as } ->
                    if peer_as <> neighbor_as then
-                     dangling port (role ^ " eBGP port's peer AS mismatches the wiring")
-                 | Packetsim.Host_view _ ->
-                   dangling port (role ^ " eBGP port wired to a host"));
-                match dest_of_prefix prefix with
-                | None -> ()
-                | Some (d, rt) ->
-                  if
-                    as_id <> d
-                    && not
-                         (List.exists
-                            (fun (e : Routing.rib_entry) -> e.Routing.via = neighbor_as)
-                            (Routing.rib rt as_id))
-                  then
-                    dangling port
-                      (Printf.sprintf "%s eBGP port not backed by a RIB route via AS %d"
-                         role neighbor_as))
+                     dangling slot port "eBGP port's peer AS mismatches the wiring"
+                 | Packetsim.Host_view _ -> dangling slot port "eBGP port wired to a host");
+                if host >= 0 then begin
+                  let d, rt = dests.(host) in
+                  if as_id <> d && not (rib_backed rt as_id neighbor_as) then
+                    dangling slot port
+                      (Printf.sprintf "eBGP port not backed by a RIB route via AS %d"
+                         neighbor_as)
+                end
               | Engine.Ibgp { peer_router } ->
                 if peer <> peer_router then
-                  dangling port (role ^ " iBGP port wired to a different router")
+                  dangling slot port "iBGP port wired to a different router"
                 else begin
-                  (match Packetsim.node_view sim peer with
-                   | Packetsim.Router_view { as_id = peer_as } ->
-                     if peer_as <> as_id then
-                       dangling port (role ^ " iBGP session crosses an AS boundary");
-                     if Packetsim.ibgp_route sim id peer_router = None then
-                       dangling port (role ^ " tunnel endpoint is not an iBGP peer");
-                     if Fib.lookup (Packetsim.fib sim peer) prefix.Prefix.network = None
-                     then
-                       dangling port
-                         (role ^ " tunnel endpoint has no route for the prefix")
-                   | Packetsim.Host_view _ ->
-                     dangling port (role ^ " iBGP port wired to a host"))
+                  match Packetsim.node_view sim peer with
+                  | Packetsim.Router_view { as_id = peer_as } ->
+                    if peer_as <> as_id then
+                      dangling slot port "iBGP session crosses an AS boundary";
+                    if Packetsim.ibgp_route sim id peer_router = None then
+                      dangling slot port "tunnel endpoint is not an iBGP peer";
+                    if Fib.lookup (Packetsim.fib sim peer) prefix.Prefix.network = None
+                    then dangling slot port "tunnel endpoint has no route for the prefix"
+                  | Packetsim.Host_view _ -> dangling slot port "iBGP port wired to a host"
                 end
             end
           in
-          check_port ~role:"default" (Fib.out_port entry);
+          check_port (-1) (Fib.out_port entry);
           for slot = 0 to Fib.alt_count entry - 1 do
-            check_port ~role:(Printf.sprintf "alt[%d]" slot) (Fib.alt_at entry slot)
+            check_port slot (Fib.alt_at entry slot)
           done)
   done;
   (List.rev !violations, !checked)

@@ -21,8 +21,10 @@ val audit_fibs :
     declared neighbor AS and backed by a RIB route; iBGP ports wired to
     the declared peer, inside one AS, with a live iBGP session and a
     route for the prefix at the tunnel endpoint; Local ports wired to a
-    host inside the prefix.  Returns the violations and the number of
-    FIB entries checked. *)
+    host inside the prefix.  A FIB entry is RIB-checked against the
+    first listing whose [Prefix.of_as d] equals its prefix exactly; the
+    index over [routing] is built once per call.  Returns the violations
+    and the number of FIB entries checked. *)
 
 val find_loops :
   Mifo_netsim.Packetsim.t ->

@@ -13,17 +13,21 @@ let max_alts = 4
 
 (* The MIFO_K_ALT knob: how many ranked alternative slots the daemon and
    the tools fill, clamped to [1, max_alts].  The FIB itself always has
-   max_alts slots; the knob only caps how many get used. *)
-let default_k =
-  let v =
-    match Sys.getenv_opt "MIFO_K_ALT" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
+   max_alts slots; the knob only caps how many get used.  Read on every
+   call (never at module initialisation), so a malformed value fails
+   the caller that asked for it. *)
+let default_k () =
+  match Sys.getenv_opt "MIFO_K_ALT" with
+  | None -> max_alts
+  | Some s -> (
+    match String.trim s with
+    | "" -> max_alts
+    | t -> (
+      match int_of_string_opt t with
       | Some k when k >= 1 -> Stdlib.min k max_alts
-      | Some _ | None -> max_alts)
-    | None -> max_alts
-  in
-  fun () -> v
+      | Some _ | None ->
+        invalid_arg
+          (Printf.sprintf "MIFO_K_ALT: expected a positive integer, got %S" s)))
 
 (* Hashed-oracle entry: the original boxed record, one per prefix, with
    the single alt field widened to the ranked slot array. *)
@@ -87,10 +91,17 @@ let flat_create () =
     freed = [];
   }
 
+(* The level every prefix length of a fresh flat table points at until
+   its first insert: a 44K-router network would otherwise allocate 33
+   level records per router, nearly all of which stay empty.  Readers
+   see [cap = 0] and [a_len = 0] and never write; [insert] swaps in a
+   private level before its first write. *)
+let empty_level = flat_create ()
+
 let create ?(rep = Flat) () =
   let store =
     match rep with
-    | Flat -> Flat_store (Array.init 33 (fun _ -> flat_create ()))
+    | Flat -> Flat_store (Array.make 33 empty_level)
     | Hashed ->
       Hash_store
         (Array.init 33 (fun _ -> Hashtbl.create 16 (* lint:allow oracle representation *)))
@@ -289,7 +300,16 @@ let insert t prefix ~out_port ?alt_port () =
   let alt = match alt_port with None -> -1 | Some p -> p in
   let eff =
     match t.store with
-    | Flat_store fs -> flat_insert fs.(len) key ~out_port ~alt
+    | Flat_store fs ->
+      let fl =
+        if fs.(len) != empty_level then fs.(len)
+        else begin
+          let fl = flat_create () in
+          fs.(len) <- fl;
+          fl
+        end
+      in
+      flat_insert fl key ~out_port ~alt
     | Hash_store hs ->
       let table = hs.(len) in
       (match Hashtbl.find_opt table key (* lint:allow oracle representation *) with

@@ -53,11 +53,22 @@ val max_alts : int
 val default_k : unit -> int
 (** The [MIFO_K_ALT] knob: how many ranked slots the daemon and the
     command-line tools fill, clamped to \[1, {!max_alts}\]; defaults to
-    {!max_alts} when unset or unparsable.  The FIB itself always has
-    {!max_alts} slots — this only caps how many get used. *)
+    {!max_alts} when unset or empty.  The variable is read on each call,
+    not at module initialisation.  The FIB itself always has
+    {!max_alts} slots — this only caps how many get used.
+    @raise Invalid_argument naming the variable and its value when it
+    is not a positive integer. *)
 
 val create : ?rep:rep -> unit -> t
-(** Default representation is {!Flat}; {!Hashed} is the oracle. *)
+(** Default representation is {!Flat}; {!Hashed} is the oracle.
+
+    A fresh {!Flat} table allocates no per-length storage: all 33
+    prefix lengths share one empty sentinel level, and a length gets
+    its own index and arena on its first {!insert}.  {!lookup},
+    {!find}, {!remove}, {!iter} and {!size} on a length never inserted
+    read the sentinel and never write it, so tables stay isolated from
+    each other.  A 44K-router network whose FIBs hold only /24s thus
+    pays for one level per router, not 33. *)
 
 val rep : t -> rep
 

@@ -6,6 +6,7 @@ module Prefix = Mifo_bgp.Prefix
 module Fib = Mifo_core.Fib
 module Engine = Mifo_core.Engine
 module Deployment = Mifo_core.Deployment
+module Sort = Mifo_util.Sort
 
 type t = {
   sim : Packetsim.t;
@@ -24,14 +25,22 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
     (fun v ->
       if v < 0 || v >= n then invalid_arg "As_network.build: host AS out of range")
     hosts;
+  let dests = Array.of_list (List.sort_uniq Int.compare hosts) in
   (* One routing state per host prefix; the computations are independent
      so they fan out across the domain pool before the serial FIB fill. *)
-  Routing_table.precompute ?pool table
-    (Array.of_list (List.sort_uniq Int.compare hosts));
+  Routing_table.precompute ?pool table dests;
   let sim = Packetsim.create ?config () in
   let router_of_as = Array.init n (fun v -> Packetsim.add_router sim ~as_id:v) in
-  (* Inter-AS links; remember the egress port of every directed pair. *)
-  let port_of = Hashtbl.create (4 * As_graph.edge_count g) in
+  (* Egress ports in CSR form, aligned with the sorted neighbor arrays:
+     the port of [v] toward [(As_graph.neighbors g v).(i)] is
+     [egress.(egress_off.(v) + i)]. *)
+  let egress_off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    egress_off.(v + 1) <- egress_off.(v) + As_graph.degree g v
+  done;
+  let egress = Array.make egress_off.(n) (-1) in
+  let egress_slot v u = egress_off.(v) + Sort.find_first (As_graph.neighbors g v) u in
+  let port_toward v u = egress.(egress_slot v u) in
   ignore
     (As_graph.fold_edges g ~init:()
        ~f:(fun () u v kind ->
@@ -46,11 +55,11 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
              ~kind_ba:(Engine.Ebgp { neighbor_as = u; rel = rel_vu })
              ~rate:link_rate ()
          in
-         Hashtbl.replace port_of (u, v) pu;
-         Hashtbl.replace port_of (v, u) pv));
+         egress.(egress_slot u v) <- pu;
+         egress.(egress_slot v u) <- pv));
   (* Hosts and their access links. *)
   let host_of_as = Hashtbl.create (List.length hosts) in
-  let host_port = Hashtbl.create (List.length hosts) in
+  let local_port = Array.make n (-1) in
   List.iter
     (fun v ->
       if not (Hashtbl.mem host_of_as v) then begin
@@ -60,65 +69,64 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
             ~kind_ba:Engine.Local ~rate:host_rate ()
         in
         Hashtbl.replace host_of_as v h;
-        Hashtbl.replace host_port v router_side
+        local_port.(v) <- router_side
       end)
     hosts;
   (* FIBs: one entry per host prefix in every router, from the analytic
-     routing; alternatives live on MIFO-capable ASes and are refreshed by
-     the per-router daemon chooser below. *)
-  let alt_candidates = Hashtbl.create 256 in
-  (* (as, dest) -> candidate (neighbor, port) list, precomputed once *)
+     routing; on MIFO-capable ASes the initial alternative is the first
+     RIB alternative, refreshed by the per-router daemon chooser below. *)
   List.iter
     (fun d ->
       let prefix = Prefix.of_as d in
       let rt = Routing_table.get table d in
       for v = 0 to n - 1 do
         let fib = Packetsim.fib sim router_of_as.(v) in
-        if v = d then
-          Fib.insert fib prefix ~out_port:(Hashtbl.find host_port v) ()
-        else begin
+        if v = d then Fib.insert fib prefix ~out_port:local_port.(v) ()
+        else
           match Routing.next_hop rt v with
           | None -> ()
           | Some nh ->
-            let out_port = Hashtbl.find port_of (v, nh) in
-            if Deployment.capable deployment v then begin
-              let alts =
-                (* memoized RIB: the scan+sort ran at most once per
-                   (destination, AS) pair, not once per call *)
-                Routing.alternatives rt v
-                |> List.map (fun (e : Routing.rib_entry) ->
-                       (e.via, Hashtbl.find port_of (v, e.via)))
-              in
-              Hashtbl.replace alt_candidates (v, prefix.Prefix.network) alts;
-              match alts with
-              | (_, first) :: _ -> Fib.insert fib prefix ~out_port ~alt_port:first ()
-              | [] -> Fib.insert fib prefix ~out_port ()
-            end
+            let out_port = port_toward v nh in
+            if Deployment.capable deployment v && Routing.rib_size rt v > 1 then
+              Fib.insert fib prefix ~out_port
+                ~alt_port:(port_toward v (Routing.rib_via rt v 1))
+                ()
             else Fib.insert fib prefix ~out_port ()
-        end
       done)
     hosts;
-  (* Daemon choosers: the greedy rule - among the precomputed RIB
-     alternatives, pick the port whose link has the most measured spare
-     capacity.  Legacy ASes keep no alternative. *)
+  (* Daemon choosers: the greedy rule, reading the candidates on demand
+     from the routing states captured here.  [dest_nets] holds the host
+     prefixes' network addresses, sorted, parallel to [dests]/[dest_rts]
+     ([Prefix.of_as] is increasing in the AS id). *)
+  let dest_nets =
+    Array.map (fun d -> Int32.to_int (Prefix.of_as d).Prefix.network) dests
+  in
+  let dest_rts = Array.map (fun d -> Routing_table.get table d) dests in
   for v = 0 to n - 1 do
     if Deployment.capable deployment v then begin
       let node = router_of_as.(v) in
       Packetsim.set_alt_chooser sim node (fun prefix entry ->
-          match Hashtbl.find_opt alt_candidates (v, prefix.Prefix.network) with
-          | None | Some [] -> Fib.alt_port entry
-          | Some candidates ->
-            let best = ref None in
-            List.iter
-              (fun (nb, port) ->
+          let i = Sort.find_first dest_nets (Int32.to_int prefix.Prefix.network) in
+          if i < 0 || dests.(i) = v then Fib.alt_port entry
+          else begin
+            let rt = dest_rts.(i) in
+            let size = Routing.rib_size rt v in
+            if size < 2 || Option.is_none (Routing.next_hop rt v) then Fib.alt_port entry
+            else begin
+              (* RIB alternatives 1 .. size-1 in RIB order; the earliest
+                 maximum spare capacity wins *)
+              let best = ref (-1) and best_spare = ref 0. in
+              for j = 1 to size - 1 do
+                let port = port_toward v (Routing.rib_via rt v j) in
                 let s = Packetsim.spare_capacity sim node port in
-                match !best with
-                | Some (_, _, bs) when bs >= s -> ()
-                | _ -> best := Some (nb, port, s))
-              candidates;
-            (match !best with
-             | Some (_, port, s) when s > 0. -> Some port
-             | _ -> None))
+                if !best < 0 || s > !best_spare then begin
+                  best := port;
+                  best_spare := s
+                end
+              done;
+              if !best_spare > 0. then Some !best else None
+            end
+          end)
     end
   done;
   { sim; router_of_as; host_of_as }

@@ -30,9 +30,22 @@ val build :
   t
 (** [build table ~deployment ~hosts ()] wires every AS and installs, for
     every AS listed in [hosts], that AS's /24 prefix in {e every}
-    router's FIB (default next hop from the routing computation;
-    alternative port on MIFO-capable ASes).  Each listed AS also gets an
-    attached end host addressed [Prefix.host_of_as as 1].
+    router's FIB: the default port toward the routing computation's
+    next hop and, on MIFO-capable ASes whose RIB holds an alternative,
+    the port toward the first alternative (RIB index 1).  Each listed AS
+    also gets an attached end host addressed [Prefix.host_of_as as 1].
+    Listing an AS twice installs its prefix twice, which changes
+    nothing.
+
+    Every MIFO-capable router gets a daemon chooser that reads its
+    candidates on demand from the routing states captured at build
+    time: for a host prefix, the candidates are RIB indices
+    [1 .. size-1] in RIB order, and the chooser returns the port with
+    the largest measured spare capacity — the earliest one on a tie —
+    or [None] when no candidate has spare capacity left.  It keeps the
+    entry's current alternative for a prefix that is not a host prefix,
+    at the destination AS itself, at an AS with no route, and when the
+    RIB holds no alternative.
 
     [link_rate] defaults to 1 Gbps (the paper's setting) on every
     inter-AS link; [host_rate] (default [link_rate]) sets the host access

@@ -13,13 +13,20 @@ type pool = {
   mutable workers : unit Domain.t list;
 }
 
+(* Read on every call, so a malformed value fails the first caller that
+   needs a pool size rather than module initialisation. *)
 let default_jobs () =
   match Sys.getenv_opt "MIFO_JOBS" with
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some j when j >= 1 -> j
-    | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
+  | Some v -> (
+    match String.trim v with
+    | "" -> Domain.recommended_domain_count ()
+    | t -> (
+      match int_of_string_opt t with
+      | Some j when j >= 1 -> j
+      | Some _ | None ->
+        invalid_arg
+          (Printf.sprintf "MIFO_JOBS: expected a positive integer, got %S" v)))
 
 let jobs t = t.n_jobs
 
@@ -177,17 +184,15 @@ let default_mutex = Mutex.create ()
 let default_pool : pool option ref = ref None
 
 let get_default () =
-  Mutex.lock default_mutex;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create () in
-      default_pool := Some p;
-      p
-  in
-  Mutex.unlock default_mutex;
-  pool
+  (* [protect]: a malformed MIFO_JOBS raises from [create] and must not
+     leave the mutex held. *)
+  Mutex.protect default_mutex (fun () ->
+      match !default_pool with
+      | Some p -> p
+      | None ->
+        let p = create () in
+        default_pool := Some p;
+        p)
 
 let set_default_jobs jobs =
   if jobs <= 0 then

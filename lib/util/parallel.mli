@@ -21,8 +21,10 @@ type pool
 (** A fixed-size pool of worker domains plus the calling domain. *)
 
 val default_jobs : unit -> int
-(** [MIFO_JOBS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** [MIFO_JOBS] when set, otherwise (unset or empty)
+    [Domain.recommended_domain_count ()].  Read on each call.
+    @raise Invalid_argument naming the variable and its value when it
+    is set to anything but a positive integer. *)
 
 val create : ?jobs:int -> unit -> pool
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults
@@ -35,7 +37,9 @@ val jobs : pool -> int
 val get_default : unit -> pool
 (** The process-wide shared pool, created on first use with
     {!default_jobs} workers.  Never shut down (worker domains park on a
-    condition variable and die with the process). *)
+    condition variable and die with the process).
+    @raise Invalid_argument when the pool must be created and
+    [MIFO_JOBS] is malformed (see {!default_jobs}). *)
 
 val set_default_jobs : int -> unit
 (** Replace the shared pool with one of the given size, shutting the

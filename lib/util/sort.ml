@@ -36,3 +36,11 @@ let sort_prefix ~cmp a len =
     swap 0 hi;
     sift 0 hi
   done
+
+let find_first (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = x then !lo else -1

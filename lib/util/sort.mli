@@ -9,3 +9,8 @@ val sort_prefix : cmp:('a -> 'a -> int) -> 'a array -> int -> unit
 
     @raise Invalid_argument if [len] is negative or exceeds the array
     length. *)
+
+val find_first : int array -> int -> int
+(** [find_first a x] is the smallest index [i] with [a.(i) = x] in the
+    ascending array [a], or [-1] when [x] is absent.  Binary search,
+    zero allocation. *)

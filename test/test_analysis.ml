@@ -335,7 +335,14 @@ let test_network_gadget_clean () =
   Alcotest.(check bool) "clean" true (Report.ok r);
   Alcotest.(check bool) "FIB entries audited" true
     (r.Report.stats.Report.fib_entries_checked > 0);
-  Alcotest.(check bool) "states explored" true (r.Report.stats.Report.states_explored > 0)
+  Alcotest.(check bool) "states explored" true (r.Report.stats.Report.states_explored > 0);
+  (* the whole clean report, byte for byte *)
+  Alcotest.(check string) "clean report JSON"
+    "{\"ok\":true,\"violations\":[],\"stats\":{\"dests_checked\":4,\"states_explored\":22,\
+     \"paths_checked\":0,\"fib_entries_checked\":16,\"delivery_states\":0,\
+     \"stranded_states\":0,\"stretch_states\":0,\"max_stretch\":0,\"failed_links\":0,\
+     \"unprotectable_links\":0,\"resilience_full_checks\":0}}"
+    (Report.to_json_string r)
 
 let test_network_gadget_tag_check_off_loops () =
   let config = { Packetsim.default_config with Packetsim.tag_check = false } in
@@ -366,6 +373,37 @@ let test_network_dangling_alt_port () =
   | Some (Report.Dangling_fib_port { port; _ }) ->
     Alcotest.(check int) "the bogus port" 999 port
   | _ -> Alcotest.fail "expected a dangling-FIB-port violation"
+
+let test_network_unbacked_ebgp_alt () =
+  (* On the gadget, AS 2's RIB toward AS 1 holds only the direct peer
+     route: AS 3 (a peer) and AS 0 (a customer) learned AS 1's prefix
+     from a peer and a provider, and export it to neither.  An
+     alternative on AS 2's real eBGP port toward AS 3 is wired
+     correctly but has no route behind it. *)
+  let net, routing = gadget_network () in
+  let sim = net.As_network.sim in
+  let r2 = net.As_network.router_of_as.(2) in
+  let toward_3 =
+    List.find
+      (fun p ->
+        match Packetsim.port_kind sim r2 p with
+        | Engine.Ebgp { neighbor_as; _ } -> neighbor_as = 3
+        | Engine.Local | Engine.Ibgp _ -> false)
+      (List.init (Packetsim.port_count sim r2) Fun.id)
+  in
+  let rt1 = List.assoc 1 routing in
+  Alcotest.(check bool) "AS 3 absent from AS 2's RIB toward AS 1" false
+    (List.exists (fun (e : Routing.rib_entry) -> e.Routing.via = 3) (Routing.rib rt1 2));
+  Fib.set_alt (Packetsim.fib sim r2) (Prefix.of_as 1) (Some toward_3);
+  let violations, _ = Net_check.audit_fibs sim ~routing in
+  match violations with
+  | [ Report.Dangling_fib_port { node; prefix; port; reason } ] ->
+    Alcotest.(check int) "node" r2 node;
+    Alcotest.(check string) "prefix" "10.0.1.0/24" prefix;
+    Alcotest.(check int) "port" toward_3 port;
+    Alcotest.(check string) "reason"
+      "alt[0] eBGP port not backed by a RIB route via AS 3" reason
+  | _ -> Alcotest.fail "expected exactly one dangling-FIB-port violation"
 
 let test_network_ebgp_tunnel_egress () =
   (* AS 1: r1 tunnels its deflections to border router r3, but the only
@@ -829,6 +867,8 @@ let () =
           Alcotest.test_case "tag-check off: router-level loop" `Quick
             test_network_gadget_tag_check_off_loops;
           Alcotest.test_case "dangling alternative port" `Quick test_network_dangling_alt_port;
+          Alcotest.test_case "eBGP alternative not backed by the RIB" `Quick
+            test_network_unbacked_ebgp_alt;
           Alcotest.test_case "eBGP egress mid-tunnel" `Quick test_network_ebgp_tunnel_egress;
         ] );
     ]

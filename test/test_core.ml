@@ -332,11 +332,22 @@ let fib_dump fib =
 let prop_fib_flat_matches_hashed =
   QCheck2.Test.make ~name:"fib: flat and hashed reps agree under churn" ~count:300
     QCheck2.Gen.(
-      list_size (int_range 0 80)
-        (quad (int_bound 4) (int_bound 1000) (int_bound 1000) (int_bound 1000)))
-    (fun ops ->
+      pair
+        (list_size (int_range 0 6) (int_bound 1000))
+        (list_size (int_range 0 80)
+           (quad (int_bound 4) (int_bound 1000) (int_bound 1000) (int_bound 1000))))
+    (fun (early_removes, ops) ->
       let flat = Fib.create ~rep:Fib.Flat () in
       let hashed = Fib.create ~rep:Fib.Hashed () in
+      (* removes on fresh tables, before any length was ever inserted *)
+      List.iter
+        (fun i ->
+          let p = fib_universe.(i mod Array.length fib_universe) in
+          if Fib.remove flat p || Fib.remove hashed p then
+            QCheck2.Test.fail_report "remove before the first insert found an entry")
+        early_removes;
+      if Fib.size flat <> 0 || Fib.size hashed <> 0 then
+        QCheck2.Test.fail_report "remove before the first insert changed the size";
       List.iter
         (fun op ->
           apply_fib_op flat op;
@@ -363,6 +374,83 @@ let prop_fib_flat_matches_hashed =
             QCheck2.Test.fail_report "lookup diverged")
         fib_probes;
       true)
+
+(* Per-length levels of a fresh flat table share one empty sentinel
+   until their first insert: reads and removes on untouched lengths must
+   leave it empty, and an insert into one table must never show up in
+   another. *)
+let test_fib_lazy_levels_isolated () =
+  List.iter
+    (fun rep ->
+      let name what = Fib.rep_name rep ^ ": " ^ what in
+      let count fib =
+        let n = ref 0 in
+        Fib.iter fib (fun _ _ -> incr n);
+        !n
+      in
+      let empty fib what =
+        Alcotest.(check int) (name (what ^ " size")) 0 (Fib.size fib);
+        Alcotest.(check int) (name (what ^ " iter")) 0 (count fib);
+        Alcotest.(check bool) (name (what ^ " may_deflect")) false (Fib.may_deflect fib);
+        Array.iter
+          (fun addr ->
+            Alcotest.(check bool) (name (what ^ " lookup misses")) true
+              (Fib.lookup fib addr = None))
+          fib_probes;
+        Array.iter
+          (fun p ->
+            Alcotest.(check bool) (name (what ^ " find misses")) true (Fib.find fib p = None))
+          fib_universe
+      in
+      let a = Fib.create ~rep () and b = Fib.create ~rep () in
+      Array.iter
+        (fun p ->
+          Alcotest.(check bool) (name "remove on a fresh table") false (Fib.remove a p))
+        fib_universe;
+      empty a "untouched a";
+      empty b "untouched b";
+      Fib.insert a (Prefix.of_string "10.1.2.0/24") ~out_port:3 ~alt_port:5 ();
+      empty b "b after a's insert";
+      Alcotest.(check bool) (name "b's /24 remove misses") false
+        (Fib.remove b (Prefix.of_string "10.1.2.0/24"));
+      Fib.insert b (Prefix.of_string "10.0.0.0/8") ~out_port:1 ();
+      let out fib addr =
+        match Fib.lookup fib (Prefix.addr_of_string addr) with
+        | Some e -> Fib.out_port e
+        | None -> -1
+      in
+      Alcotest.(check int) (name "a keeps its /24") 3 (out a "10.1.2.5");
+      Alcotest.(check int) (name "a never sees b's /8") (-1) (out a "10.9.9.9");
+      Alcotest.(check int) (name "b never sees a's /24") 1 (out b "10.1.2.5");
+      Alcotest.(check int) (name "a holds one entry") 1 (Fib.size a);
+      Alcotest.(check int) (name "b holds one entry") 1 (Fib.size b);
+      empty (Fib.create ~rep ()) "a table created afterwards")
+    [ Fib.Flat; Fib.Hashed ]
+
+(* MIFO_K_ALT is read on each call; a malformed value is an error that
+   names the variable and the value.  Unix has no unsetenv, so the
+   variable is restored to its old value or to empty, which reads as
+   unset. *)
+let with_env var value f =
+  let old = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var old) f
+
+let test_fib_default_k_env () =
+  List.iter
+    (fun (value, want) ->
+      with_env "MIFO_K_ALT" value (fun () ->
+          Alcotest.(check int) (Printf.sprintf "MIFO_K_ALT=%S" value) want (Fib.default_k ())))
+    [ ("", Fib.max_alts); ("1", 1); (" 2 ", 2); ("9", Fib.max_alts) ];
+  List.iter
+    (fun value ->
+      with_env "MIFO_K_ALT" value (fun () ->
+          Alcotest.check_raises
+            (Printf.sprintf "MIFO_K_ALT=%S rejected" value)
+            (Invalid_argument
+               (Printf.sprintf "MIFO_K_ALT: expected a positive integer, got %S" value))
+            (fun () -> ignore (Fib.default_k ()))))
+    [ "0"; "-3"; "four"; "2x" ]
 
 (* ---------- Engine ---------- *)
 
@@ -1055,6 +1143,9 @@ let () =
             test_fib_may_deflect_clears;
           Alcotest.test_case "ranked alternative slots" `Quick test_fib_ranked_slots;
           Alcotest.test_case "deflects" `Quick test_fib_deflects;
+          Alcotest.test_case "lazy levels stay isolated" `Quick
+            test_fib_lazy_levels_isolated;
+          Alcotest.test_case "MIFO_K_ALT parsing" `Quick test_fib_default_k_env;
           Alcotest.test_case "O(1) size + fib.entries gauge" `Quick
             test_fib_size_and_gauge;
           QCheck_alcotest.to_alcotest prop_fib_flat_matches_hashed;

@@ -11,6 +11,8 @@ module Engine = Mifo_core.Engine
 module Packet = Mifo_core.Packet
 module Packetsim = Mifo_netsim.Packetsim
 module As_network = Mifo_netsim.As_network
+module Fib = Mifo_core.Fib
+module Obs = Mifo_util.Obs
 module Router_network = Mifo_netsim.Router_network
 
 (* The diamond where MIFO has something to do: both sources' default
@@ -95,6 +97,148 @@ let test_as_network_rejects_bad_host () =
      with
      | exception Invalid_argument _ -> true
      | _ -> false)
+
+(* ---------- As_network against its reference builder ---------- *)
+
+(* Everything the builder wires: the AS -> router and AS -> host maps,
+   then in node order each port's kind and far end and every FIB entry
+   (iteration order, all alternative slots). *)
+let dump_network (net : As_network.t) =
+  let sim = net.As_network.sim in
+  let hosts =
+    Hashtbl.fold (fun a h acc -> (a, h) :: acc) net.As_network.host_of_as []
+    |> List.sort compare
+  in
+  let node id =
+    let ports =
+      List.init (Packetsim.port_count sim id) (fun p ->
+          (Packetsim.port_kind sim id p, Packetsim.port_peer sim id p))
+    in
+    let fib =
+      match Packetsim.node_view sim id with
+      | Packetsim.Host_view _ -> []
+      | Packetsim.Router_view _ ->
+        let acc = ref [] in
+        Fib.iter (Packetsim.fib sim id) (fun p e ->
+            acc :=
+              ( Prefix.to_string p,
+                Fib.out_port e,
+                List.init Fib.max_alts (Fib.alt_at e),
+                Fib.deflect_buckets e )
+              :: !acc);
+        List.rev !acc
+    in
+    (ports, fib)
+  in
+  (net.As_network.router_of_as, hosts, List.init (Packetsim.node_count sim) node)
+
+let daemon_counters =
+  [
+    "daemon.alt_changed"; "daemon.buckets_reset"; "daemon.slots_rotated";
+    "daemon.ramp_up_buckets"; "daemon.ramp_down_buckets";
+  ]
+
+(* Run the transfers to [until] and fingerprint the run: counters, every
+   flow's finish time as float bits, path switches and the daemon's
+   Obs counter deltas. *)
+let run_fingerprint (net : As_network.t) ~transfers ~until =
+  let before = List.map Obs.counter_value daemon_counters in
+  List.iter
+    (fun (src_as, dst_as, bytes, start) ->
+      ignore (As_network.add_transfer net ~src_as ~dst_as ~bytes ~start))
+    transfers;
+  As_network.run ~until net;
+  let sim = net.As_network.sim in
+  let finishes =
+    Array.map
+      (fun (r : Packetsim.flow_result) ->
+        Option.map Int64.bits_of_float r.Packetsim.finish)
+      (Packetsim.flow_results sim)
+  in
+  let deltas = List.map2 (fun b n -> Obs.counter_value n - b) before daemon_counters in
+  (Packetsim.counters sim, finishes, Packetsim.path_switches sim, deltas)
+
+(* Build with both builders and require the same network, FIB entries
+   and run; returns the daemon counter deltas of the run. *)
+let check_against_oracle g ~deployment ~hosts ~transfers ~until =
+  let fast =
+    As_network.build (Routing_table.create g) ~deployment ~host_rate:10e9 ~hosts ()
+  and oracle =
+    As_network_oracle.build (Routing_table.create g) ~deployment ~host_rate:10e9 ~hosts ()
+  in
+  if dump_network fast <> dump_network oracle then
+    Alcotest.fail "built networks or FIB entries differ from the reference builder";
+  let c1, f1, s1, d1 = run_fingerprint fast ~transfers ~until in
+  let c2, f2, s2, d2 = run_fingerprint oracle ~transfers ~until in
+  if c1 <> c2 then Alcotest.fail "packet counters differ from the reference builder";
+  if f1 <> f2 then Alcotest.fail "flow finish times differ from the reference builder";
+  if s1 <> s2 then Alcotest.fail "path switches differ from the reference builder";
+  if d1 <> d2 then Alcotest.fail "daemon counters differ from the reference builder";
+  d1
+
+(* A three-way diamond: AS 3 reaches AS 0 through 1 (default), 2 and 6,
+   so its chooser has two candidates and moves the alternative between
+   them as deflected traffic eats one's spare capacity — the chooser
+   comparison is not vacuous. *)
+let three_way () =
+  As_graph.create ~n:7
+    ~edges:
+      [
+        (1, 0, As_graph.Provider_customer);
+        (2, 0, As_graph.Provider_customer);
+        (6, 0, As_graph.Provider_customer);
+        (3, 1, As_graph.Provider_customer);
+        (3, 2, As_graph.Provider_customer);
+        (3, 6, As_graph.Provider_customer);
+        (3, 4, As_graph.Provider_customer);
+        (3, 5, As_graph.Provider_customer);
+      ]
+
+let test_as_network_matches_oracle_three_way () =
+  let deltas =
+    check_against_oracle (three_way ()) ~deployment:(Deployment.full ~n:7)
+      ~hosts:[ 0; 4; 5; 4 ]
+      ~transfers:(List.init 12 (fun i -> (4 + (i land 1), 0, 1_000_000, 0.)))
+      ~until:0.05
+  in
+  Alcotest.(check bool) "the daemon changed alternatives" true (List.hd deltas > 0)
+
+let prop_as_network_matches_oracle =
+  QCheck2.Test.make ~name:"as_network: build and run match the reference builder"
+    ~count:25
+    QCheck2.Gen.(
+      quad (int_range 20 300) (int_bound 1000) (float_bound_inclusive 1.)
+        (pair (list_size (int_range 1 6) (int_bound 1_000_000)) (int_bound 3)))
+    (fun (ases, seed, ratio, (picks, dups)) ->
+      let g =
+        (Generator.generate
+           ~params:
+             {
+               Generator.default_params with
+               Generator.ases;
+               tier1 = 3;
+               content_providers = 1;
+               content_peer_span = (1, 4);
+             }
+           ~seed ())
+          .Generator.graph
+      in
+      let n = As_graph.n g in
+      let hosts = List.map (fun x -> x mod n) picks in
+      (* duplicates: repeat the first [dups] listed hosts *)
+      let hosts = hosts @ List.filteri (fun i _ -> i < dups) hosts in
+      let distinct = List.sort_uniq Int.compare hosts in
+      let transfers =
+        match distinct with
+        | a :: b :: rest ->
+          (a, b, 400_000, 0.)
+          :: (b, a, 400_000, 0.001)
+          :: List.map (fun c -> (c, a, 400_000, 0.)) rest
+        | _ -> []
+      in
+      let deployment = Deployment.fraction ~n ~ratio ~seed in
+      ignore (check_against_oracle g ~deployment ~hosts ~transfers ~until:0.02);
+      true)
 
 (* ---------- Router_level ---------- *)
 
@@ -204,6 +348,9 @@ let () =
           Alcotest.test_case "tracer reconstructs the path" `Quick
             test_as_network_tracer_reconstructs_path;
           Alcotest.test_case "host validation" `Quick test_as_network_rejects_bad_host;
+          Alcotest.test_case "three-way diamond matches the reference builder" `Quick
+            test_as_network_matches_oracle_three_way;
+          QCheck_alcotest.to_alcotest prop_as_network_matches_oracle;
         ] );
       ( "router_level",
         [

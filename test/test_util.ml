@@ -420,6 +420,17 @@ let test_sort_prefix_validation () =
   Alcotest.check_raises "len too large" (Invalid_argument "Sort.sort_prefix")
     (fun () -> Mifo_util.Sort.sort_prefix ~cmp:Int.compare [| 1 |] 2)
 
+let test_sort_find_first () =
+  let a = [| -3; 1; 4; 4; 4; 9; 12 |] in
+  List.iter
+    (fun (x, want) ->
+      Alcotest.(check int) (Printf.sprintf "find %d" x) want (Mifo_util.Sort.find_first a x))
+    [
+      (-3, 0); (1, 1); (4, 2) (* leftmost of a run *); (9, 5); (12, 6);
+      (-4, -1); (0, -1); (5, -1); (10, -1); (13, -1);
+    ];
+  Alcotest.(check int) "empty" (-1) (Mifo_util.Sort.find_first [||] 0)
+
 (* ---------- Table ---------- *)
 
 let test_fmt_count () =
@@ -686,6 +697,37 @@ let test_fork_join_barrier () =
       | () -> Alcotest.fail "negative task count accepted"
       | exception Invalid_argument _ -> ())
 
+(* MIFO_JOBS is read when a pool size is needed, never at module
+   initialisation; a malformed value is an error naming the variable and
+   the value.  Unix has no unsetenv, so the variable is restored to its
+   old value or to empty, which reads as unset. *)
+let test_default_jobs_env () =
+  let old = Option.value (Sys.getenv_opt "MIFO_JOBS") ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MIFO_JOBS" old)
+    (fun () ->
+      Unix.putenv "MIFO_JOBS" "3";
+      Alcotest.(check int) "MIFO_JOBS=3" 3 (Parallel.default_jobs ());
+      Unix.putenv "MIFO_JOBS" "";
+      Alcotest.(check int) "empty reads as unset" (Domain.recommended_domain_count ())
+        (Parallel.default_jobs ());
+      List.iter
+        (fun bad ->
+          Unix.putenv "MIFO_JOBS" bad;
+          let err =
+            Invalid_argument
+              (Printf.sprintf "MIFO_JOBS: expected a positive integer, got %S" bad)
+          in
+          Alcotest.check_raises
+            (Printf.sprintf "MIFO_JOBS=%S rejected" bad)
+            err
+            (fun () -> ignore (Parallel.default_jobs ()));
+          Alcotest.check_raises
+            (Printf.sprintf "MIFO_JOBS=%S rejected by create" bad)
+            err
+            (fun () -> Parallel.shutdown (Parallel.create ())))
+        [ "0"; "-2"; "all"; "4cores" ])
+
 let test_set_default_jobs_rejects_nonpositive () =
   List.iter
     (fun bad ->
@@ -816,6 +858,7 @@ let () =
           Alcotest.test_case "prefix matches Array.sort" `Quick
             test_sort_prefix_matches_array_sort;
           Alcotest.test_case "validation" `Quick test_sort_prefix_validation;
+          Alcotest.test_case "find_first" `Quick test_sort_find_first;
         ] );
       ( "table",
         [
@@ -846,6 +889,7 @@ let () =
           Alcotest.test_case "pool reuse across batches" `Quick test_parallel_pool_reuse;
           Alcotest.test_case "fork_join covers all tasks and joins" `Quick
             test_fork_join_barrier;
+          Alcotest.test_case "MIFO_JOBS parsing" `Quick test_default_jobs_env;
           Alcotest.test_case "set_default_jobs rejects non-positive" `Quick
             test_set_default_jobs_rejects_nonpositive;
         ] );
