@@ -106,8 +106,9 @@ static-check:
 	esac
 
 # Smoke-test the sim benchmark suite at tiny sizes: the incremental
-# solver must still be exercised end-to-end (reference vs incremental,
-# packetsim event loop), both eventq engines must report bit-identical
+# solver must still be exercised end-to-end (reference vs incremental
+# under BGP, 50% MIRO and MIFO, every row bit-identical; packetsim event
+# loop), both eventq engines must report bit-identical
 # event counts and completions (the bench exits 1 on any divergence,
 # and the JSON is re-checked here), and BENCH_sim.json must be
 # well-formed JSON.  The sharded legs run each workload at domains=1
@@ -116,8 +117,10 @@ static-check:
 # speedup on a 1-core box.  A second leg runs the routing track on a
 # downsized 44K-shaped topology and asserts the CSR/boxed RIBs and the
 # incremental/full verifier verdicts agree, that jobs/peak-memory are
-# recorded, and that no speedup is quoted on a 1-core box.  Perf numbers
-# at these sizes are meaningless; the full run is `make bench`.
+# recorded, and that no speedup is quoted on a 1-core box.  A malformed
+# scale variable must stop the bench with exit 2 and name the variable.
+# Perf numbers at these sizes are meaningless; the full run is
+# `make bench`.
 bench-smoke:
 	MIFO_SIM_ASES=60 MIFO_SIM_FLOWS=60 MIFO_SIM_TIME=5 \
 	MIFO_PKT_ASES=4 MIFO_PKT_FLOWS=4 MIFO_PKT_KB=50 \
@@ -134,6 +137,9 @@ rows=(d.get("packetsim") or [])+d["flowsim"]; \
 assert rows, "no bench rows"; \
 bad=[r["label"] for r in rows if not r["bit_identical"]]; \
 assert not bad, "engines diverged: %s" % bad; \
+fs={}; [fs.setdefault(r["label"], set()).add(r["protocol"]) for r in d["flowsim"]]; \
+assert fs and all(p == {"bgp", "miro50", "mifo"} for p in fs.values()), \
+	"flowsim rows must cover bgp, miro50 and mifo at every size: %s" % fs; \
 sh=d.get("shard") or []; \
 assert sh, "no shard rows"; \
 bad=[r["label"] for r in sh if not r["bit_identical"]]; \
@@ -142,10 +148,19 @@ assert all("jobs" in r and r["runs"] for r in sh), "shard jobs/runs not recorded
 assert d["machine"]["cores"] > 1 or all("speedup" not in r for r in sh), \
 	"shard speedup quoted on a 1-core box"' \
 			_build/BENCH_sim-smoke.json && \
-		echo "bench-smoke: heap/wheel engines and sharded runs bit-identical"; \
+		echo "bench-smoke: heap/wheel engines, flowsim controllers and sharded runs bit-identical"; \
 	else \
 		echo "bench-smoke: python3 not installed, skipping JSON parse check"; \
 	fi
+	@out=$$(MIFO_SIM_FLOWS=lots dune exec bench/main.exe -- sim 2>&1); \
+	if [ $$? -ne 2 ]; then \
+		echo "bench-smoke: a malformed MIFO_SIM_FLOWS did not exit 2"; exit 1; \
+	fi; \
+	case "$$out" in \
+	*'MIFO_SIM_FLOWS: expected an integer, got "lots"'*) \
+		echo "bench-smoke: malformed scale variables are rejected by name";; \
+	*) echo "bench-smoke: malformed MIFO_SIM_FLOWS not named in the error"; exit 1;; \
+	esac
 	MIFO_ASES=300 MIFO_44K_ASES=2000 MIFO_44K_DESTS=8 MIFO_44K_DELTAS=6 \
 	MIFO_44K_CHECK_DESTS=4 MIFO_44K_FAILS=16 \
 	MIFO_BENCH_ROUTING_OUT=_build/BENCH_routing-smoke.json \

@@ -15,15 +15,31 @@ module Exp = Mifo_exp.Experiments
 module Ablations = Mifo_exp.Ablations
 module Context = Mifo_exp.Context
 
-let env_int name default =
+(* An unset or empty variable takes the default; a malformed one stops
+   the run (exit 2) with a message naming the variable and its value,
+   as MIFO_JOBS and MIFO_K_ALT do. *)
+let env_value name ~expected parse default =
   match Sys.getenv_opt name with
-  | Some v -> (match int_of_string_opt v with Some i -> i | None -> default)
   | None -> default
+  | Some v -> (
+    match String.trim v with
+    | "" -> default
+    | t -> (
+      match parse t with
+      | Some x -> x
+      | None ->
+        Printf.eprintf "bench: %s: expected %s, got %S\n%!" name expected v;
+        exit 2))
+
+let env_int name default = env_value name ~expected:"an integer" int_of_string_opt default
 
 let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> (match float_of_string_opt v with Some f -> f | None -> default)
-  | None -> default
+  env_value name ~expected:"a number"
+    (fun t ->
+      match float_of_string_opt t with
+      | Some f when Float.is_finite f -> Some f
+      | _ -> None)
+    default
 
 let seed = env_int "MIFO_SEED" 42
 
@@ -603,13 +619,14 @@ type engine_sample = { epochs : int; solves : int; secs : float; epochs_per_sec 
 
 type flowsim_size = {
   size_label : string;
+  protocol : string;
   sim_ases : int;
   sim_links : int;
   sim_flows : int;
   sim_time : float;
   reference : engine_sample;
   incremental : engine_sample;
-  identical : bool;  (* engines produced bit-identical throughputs *)
+  identical : bool;  (* engines produced bit-identical results *)
 }
 
 type pkt_engine_sample = { events : int; pkt_secs : float; events_per_sec : float }
@@ -630,7 +647,9 @@ let packetsim_sizes : packetsim_size list ref = ref []
 (* Flow-level simulator: wall time per epoch, reference engine (per-epoch
    Maxmin.allocate, the pre-optimization implementation kept as oracle)
    vs. the incremental solver with clean-epoch skipping.  Same topology,
-   same workload, and — asserted here — bit-identical results. *)
+   same workload, one row per controller (BGP, MIRO at 50% deployment,
+   MIFO everywhere), and — asserted here — bit-identical results: every
+   flow's stats, the throughput series and the epoch count. *)
 let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
   let module Generator = Mifo_topology.Generator in
   let topo =
@@ -655,15 +674,14 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
             (Array.map (fun (s : Flowsim.flow_spec) -> s.Flowsim.dst) specs)))
   in
   Mifo_bgp.Routing_table.precompute table dests;
-  let deployment = Mifo_core.Deployment.full ~n in
-  let run engine =
+  let run name protocol engine =
     Gc.compact ();
     let params = { Flowsim.default_params with Flowsim.engine; max_time } in
     let t0 = Unix.gettimeofday () in
     let r =
       Obs.time_phase
-        (Printf.sprintf "bench.flowsim.%s" label)
-        (fun () -> Flowsim.run ~params table (Flowsim.Mifo deployment) specs)
+        (Printf.sprintf "bench.flowsim.%s.%s" label name)
+        (fun () -> Flowsim.run ~params table protocol specs)
     in
     let secs = Unix.gettimeofday () -. t0 in
     let sample =
@@ -674,39 +692,66 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
         epochs_per_sec = float_of_int r.Flowsim.epochs /. secs;
       }
     in
-    (sample, Flowsim.throughputs r)
+    (sample, r)
   in
-  let reference, ref_tputs = run Flowsim.Reference in
-  let incremental, inc_tputs = run Flowsim.Incremental in
-  let identical =
-    Array.length ref_tputs = Array.length inc_tputs
-    && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         ref_tputs inc_tputs
+  let same (a : Flowsim.result) (b : Flowsim.result) =
+    let bits = Int64.bits_of_float in
+    let stats_bits (s : Flowsim.flow_stats) =
+      ( (bits s.Flowsim.throughput, bits s.Flowsim.finish, bits s.Flowsim.alt_time,
+         bits s.Flowsim.final_rate),
+        (s.Flowsim.completed, s.Flowsim.switches, s.Flowsim.used_alt, s.Flowsim.final_path) )
+    in
+    let series_bits (r : Flowsim.result) =
+      Array.map (fun (t, v) -> (bits t, bits v)) r.Flowsim.series
+    in
+    a.Flowsim.epochs = b.Flowsim.epochs
+    && bits a.Flowsim.sim_end = bits b.Flowsim.sim_end
+    && series_bits a = series_bits b
+    && Array.map stats_bits a.Flowsim.flows = Array.map stats_bits b.Flowsim.flows
   in
-  let size =
-    {
-      size_label = label;
-      sim_ases = n;
-      sim_links = Mifo_topology.As_graph.edge_count g;
-      sim_flows = count;
-      sim_time = max_time;
-      reference;
-      incremental;
-      identical;
-    }
+  let one (name, protocol) =
+    let reference, ref_r = run name protocol Flowsim.Reference in
+    let incremental, inc_r = run name protocol Flowsim.Incremental in
+    let identical = same ref_r inc_r in
+    if not identical then bench_failed := true;
+    flowsim_sizes :=
+      !flowsim_sizes
+      @ [
+          {
+            size_label = label;
+            protocol = name;
+            sim_ases = n;
+            sim_links = Mifo_topology.As_graph.edge_count g;
+            sim_flows = count;
+            sim_time = max_time;
+            reference;
+            incremental;
+            identical;
+          };
+        ];
+    Printf.printf
+      "== Flowsim (%s, %s: %d ASes, %d flows, %.0fs horizon) ==\n\
+       reference:   %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
+       incremental: %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
+       speedup: %.2fx   bit-identical: %b%s\n\n%!"
+      label name n count max_time reference.epochs reference.solves reference.secs
+      reference.epochs_per_sec incremental.epochs incremental.solves
+      incremental.secs incremental.epochs_per_sec
+      (reference.secs /. incremental.secs)
+      identical
+      (if identical then "" else "   <-- ENGINE MISMATCH")
   in
-  flowsim_sizes := !flowsim_sizes @ [ size ];
-  Printf.printf
-    "== Flowsim (%s: %d ASes, %d flows, %.0fs horizon) ==\n\
-     reference:   %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
-     incremental: %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
-     speedup: %.2fx   bit-identical: %b\n\n%!"
-    label n count max_time reference.epochs reference.solves reference.secs
-    reference.epochs_per_sec incremental.epochs incremental.solves
-    incremental.secs incremental.epochs_per_sec
-    (reference.secs /. incremental.secs)
-    identical
+  List.iter one
+    [
+      ("bgp", Flowsim.Bgp);
+      ( "miro50",
+        Flowsim.Miro
+          {
+            deployment = Mifo_core.Deployment.fraction ~n ~ratio:0.5 ~seed;
+            cap = Mifo_miro.Miro.default_config.Mifo_miro.Miro.cap;
+          } );
+      ("mifo", Flowsim.Mifo (Mifo_core.Deployment.full ~n));
+    ]
 
 (* Packet-level simulator: events/sec under both eventq engines on the
    same workload, asserted bit-identical.  The heap sample also disables
@@ -1122,12 +1167,13 @@ let write_sim_json path =
     in
     let size s =
       Printf.sprintf
-        "    {\"label\": \"%s\", \"ases\": %d, \"links\": %d, \"flows\": %d, \
-         \"max_time\": %.1f,\n\
+        "    {\"label\": \"%s\", \"protocol\": \"%s\", \"ases\": %d, \"links\": %d, \
+         \"flows\": %d, \"max_time\": %.1f,\n\
         \     \"reference\": %s,\n\
         \     \"incremental\": %s,\n\
         \     \"speedup\": %.3f, \"bit_identical\": %b}"
-        (json_escape s.size_label) s.sim_ases s.sim_links s.sim_flows s.sim_time
+        (json_escape s.size_label) (json_escape s.protocol) s.sim_ases s.sim_links
+        s.sim_flows s.sim_time
         (engine s.reference) (engine s.incremental)
         (s.reference.secs /. s.incremental.secs)
         s.identical

@@ -1,29 +1,5 @@
 module Routing = Mifo_bgp.Routing
 
-let permitted rt ~src_as ~upstream =
-  let allowed (e : Routing.rib_entry) =
-    Policy.deflection_allowed ~upstream ~downstream:e.rel
-  in
-  List.filter allowed (Routing.alternatives rt src_as)
-
-let best_by rt ~src_as ~upstream ~score =
-  let candidates = permitted rt ~src_as ~upstream in
-  let better (e : Routing.rib_entry) best =
-    let s = score e in
-    if s <= 0. then best
-    else
-      match best with
-      | None -> Some (e, s)
-      | Some (b, bs) ->
-        if s > bs || (s = bs && e.via < b.via) then Some (e, s) else best
-  in
-  match List.fold_right better candidates None with
-  | Some (e, _) -> Some e
-  | None -> None
-
-let best_alternative rt ~src_as ~upstream ~spare =
-  best_by rt ~src_as ~upstream ~score:(fun e -> spare e.via)
-
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl

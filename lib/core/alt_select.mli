@@ -4,41 +4,11 @@
     plane and unscalable across 50K ASes, so MIFO turns "path"
     measurement into "link" monitoring: the priority of an alternative
     path is the spare capacity of the directly connected inter-AS link it
-    starts with.  This module ranks the RIB alternatives accordingly and
-    applies the valley-free deflection filter, so the flow-level
-    simulator, the daemon and the examples share one selection rule.
-
-    For the ablation bench comparing the paper's greedy rule against an
-    oracle that knows true end-to-end available bandwidth, use
-    {!best_by}. *)
-
-val permitted :
-  Mifo_bgp.Routing.t ->
-  src_as:int ->
-  upstream:Mifo_topology.Relationship.t option ->
-  Mifo_bgp.Routing.rib_entry list
-(** The RIB alternatives at [src_as] that the Tag-Check allows for
-    traffic arriving from [upstream] ([None] = locally originated). *)
-
-val best_alternative :
-  Mifo_bgp.Routing.t ->
-  src_as:int ->
-  upstream:Mifo_topology.Relationship.t option ->
-  spare:(int -> float) ->
-  Mifo_bgp.Routing.rib_entry option
-(** The permitted alternative whose first-hop link has the most spare
-    capacity ([spare nb] = spare capacity toward neighbor [nb]); ties go
-    to the lower neighbor id; [None] when nothing is permitted or every
-    permitted link has nonpositive spare. *)
-
-val best_by :
-  Mifo_bgp.Routing.t ->
-  src_as:int ->
-  upstream:Mifo_topology.Relationship.t option ->
-  score:(Mifo_bgp.Routing.rib_entry -> float) ->
-  Mifo_bgp.Routing.rib_entry option
-(** Generalized form: maximizes an arbitrary score over the permitted
-    alternatives ([None] when none, or all scores nonpositive). *)
+    starts with.  This module ranks the RIB alternatives accordingly for
+    the k-alternative data plane and applies the valley-free deflection
+    filter.  The flow-level simulator applies the same rule to a single
+    pick ([Mifo_netsim.Flowsim]), scanning the packed RIB rows in
+    place. *)
 
 val ranked_alternatives :
   Mifo_bgp.Routing.t ->

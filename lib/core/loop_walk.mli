@@ -78,5 +78,5 @@ val congestion_strategy :
   decision
 (** The MIFO strategy: deflect whenever the default egress link is
     congested ([congested u v] on directed link [u -> v]), onto the
-    permitted alternative with the most spare capacity.  Matches
-    {!Alt_select.best_alternative}. *)
+    permitted alternative with the most spare capacity, ties to the
+    lower neighbor id — the flow simulator's greedy local rule. *)

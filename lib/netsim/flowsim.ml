@@ -3,7 +3,7 @@ module Relationship = Mifo_topology.Relationship
 module Routing = Mifo_bgp.Routing
 module Routing_table = Mifo_bgp.Routing_table
 module Deployment = Mifo_core.Deployment
-module Alt_select = Mifo_core.Alt_select
+module Policy = Mifo_core.Policy
 
 type protocol =
   | Bgp
@@ -65,35 +65,32 @@ type result = {
   sim_end : float;
 }
 
-(* Directed inter-AS links, densely numbered. *)
+(* Directed inter-AS links, densely numbered u-major: [u]'s outgoing
+   links are [off.(u) ..], in the order of the sorted
+   [As_graph.neighbors g u]. *)
 module Links = struct
-  type t = {
-    ids : (int, int) Hashtbl.t;  (* (u * n + v) -> id *)
-    n : int;
-    mutable count : int;
-    ends : (int * int) Mifo_util.Vec.t;
-  }
+  type t = { g : As_graph.t; off : int array }
 
   let create g =
     let n = As_graph.n g in
-    let t = { ids = Hashtbl.create 4096; n; count = 0; ends = Mifo_util.Vec.create () } in
+    let off = Array.make (n + 1) 0 in
     for u = 0 to n - 1 do
-      Array.iter
-        (fun v ->
-          Hashtbl.add t.ids ((u * n) + v) t.count;
-          Mifo_util.Vec.push t.ends (u, v);
-          t.count <- t.count + 1)
-        (As_graph.neighbors g u)
+      off.(u + 1) <- off.(u) + As_graph.degree g u
     done;
-    t
+    { g; off }
 
-  let id t u v = Hashtbl.find t.ids ((u * t.n) + v)
-  let count t = t.count
+  let id t u v =
+    let i = Mifo_util.Sort.find_first (As_graph.neighbors t.g u) v in
+    if i < 0 then invalid_arg "Flowsim: not an adjacency";
+    t.off.(u) + i
+
+  let count t = t.off.(Array.length t.off - 1)
 end
 
 type flow = {
   spec : flow_spec;
   idx : int;
+  rt : Routing.t;  (* routing state toward [spec.dst] *)
   default_path : int array;
   default_links : int array;
   mutable path : int array;
@@ -114,16 +111,19 @@ let path_links links_reg path =
     (Array.length path - 1)
     (fun i -> Links.id links_reg path.(i) path.(i + 1))
 
+(* Paths are a few hops long, so a quadratic scan beats hashing. *)
 let path_has_dup path =
-  let seen = Hashtbl.create (Array.length path) in
-  Array.exists
-    (fun v ->
-      if Hashtbl.mem seen v then true
-      else begin
-        Hashtbl.add seen v ();
-        false
-      end)
-    path
+  let len = Array.length path in
+  let dup = ref false in
+  let i = ref 1 in
+  while (not !dup) && !i < len do
+    let v = path.(!i) in
+    for j = 0 to !i - 1 do
+      if path.(j) = v then dup := true
+    done;
+    incr i
+  done;
+  !dup
 
 (* Splice: keep [path] up to index [i] (inclusive), then go via [nb] and
    follow nb's default path to the destination. *)
@@ -144,7 +144,55 @@ let c_resumed = Obs.counter "flowsim.resumed_default"
 let c_solves = Obs.counter "flowsim.solver.solves"
 let c_skipped = Obs.counter "flowsim.solver.skipped_epochs"
 
+(* [dt <= 0] would never advance time and [series_interval <= 0] would
+   spin the sampling cursor, so both loops would hang. *)
+let validate_params p =
+  let positive name x =
+    if not (x > 0.) then
+      invalid_arg (Printf.sprintf "Flowsim.run: %s must be positive, got %g" name x)
+  and not_nan name x =
+    if Float.is_nan x then invalid_arg (Printf.sprintf "Flowsim.run: %s is NaN" name)
+  in
+  positive "dt" p.dt;
+  positive "series_interval" p.series_interval;
+  positive "link_capacity" p.link_capacity;
+  not_nan "max_time" p.max_time;
+  not_nan "congest_threshold" p.congest_threshold;
+  not_nan "clear_threshold" p.clear_threshold
+
+(* Ascending [(rate, idx)] with [Float.compare] semantics: a total
+   order, since [idx] is unique. *)
+let ranks_after a b =
+  let c = Float.compare a.rate b.rate in
+  c > 0 || (c = 0 && a.idx > b.idx)
+
+(* In-place heapsort of [a.(0 .. len-1)] by [ranks_after]: the order is
+   total, so the result is the unique sorted sequence. *)
+let sort_by_rank (a : flow array) len =
+  let rec sift i hi =
+    let l = (2 * i) + 1 in
+    if l < hi then begin
+      let c = if l + 1 < hi && ranks_after a.(l + 1) a.(l) then l + 1 else l in
+      if ranks_after a.(c) a.(i) then begin
+        let tmp = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- tmp;
+        sift c hi
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for hi = len - 1 downto 1 do
+    let tmp = a.(0) in
+    a.(0) <- a.(hi);
+    a.(hi) <- tmp;
+    sift 0 hi
+  done
+
 let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
+  validate_params params;
   let g = Routing_table.graph table in
   let n = As_graph.n g in
   Array.iter
@@ -176,6 +224,14 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
      the previous one and can be skipped outright. *)
   let dirty = ref true in
   let solves = ref 0 in
+  (* Set by an adaptation pass; cleared by a solve, an arrival or a link
+     failure.  A pass that moves a flow is followed by a solve in the same
+     epoch, so while this is set the last pass moved nothing, and the next one would replay
+     it exactly: with [planned] left at 0, each flow's decision reads
+     only rates, link loads, capacities and its own path, which only
+     those events change (a completion just drops a flow from the pass).
+     Such passes are skipped. *)
+  let settled = ref false in
   let pending_failures =
     ref
       (List.sort
@@ -193,6 +249,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
       match !pending_failures with
       | (at, (u, v)) :: rest when at <= now ->
         pending_failures := rest;
+        settled := false;
         (* both directions of the physical link go dark *)
         let luv = Links.id links_reg u v and lvu = Links.id links_reg v u in
         capacities.(luv) <- dead_capacity;
@@ -223,6 +280,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     {
       spec;
       idx;
+      rt;
       default_path;
       default_links;
       path = default_path;
@@ -281,6 +339,56 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
         ];
     Array.iter (fun l -> planned.(l) <- planned.(l) +. f.rate) f.links
   in
+  (* Spare capacity toward [nb] as the greedy local rule scores it: 0 for
+     the flow's current next hop, a failed link, or a spare that does not
+     beat the flow's rate by the improvement margin. *)
+  let local_spare f i u nb =
+    if nb = f.path.(i + 1) then 0.
+    else begin
+      let l = Links.id links_reg u nb in
+      if dead l then 0.
+      else begin
+        let s = spare l in
+        if s > f.rate *. (1. +. params.improve_margin) then s else 0.
+      end
+    end
+  in
+  (* Ablation: score by the true end-to-end bottleneck spare of the
+     spliced path - information no border router has at line speed;
+     quantifies what the greedy local rule gives up. *)
+  let bottleneck_spare f i u nb =
+    if local_spare f i u nb <= 0. then 0.
+    else begin
+      let path = splice f.rt f.path i nb in
+      if path_has_dup path then 0.
+      else
+        Array.fold_left (fun acc l -> Float.min acc (spare l)) infinity
+          (path_links links_reg path)
+    end
+  in
+  (* The alternative [u] deflects onto (Section III-C): over its RIB
+     alternatives that the one-bit [tag] permits, the neighbor with the
+     highest positive score, ties to the lower neighbor id; -1 when
+     none scores above 0. *)
+  let best_via f i u ~tag =
+    let rt = f.rt in
+    let best = ref (-1) and best_s = ref 0. in
+    for j = 1 to Routing.rib_size rt u - 1 do
+      if Policy.check ~tag ~downstream:(Routing.rib_rel_at rt u j) then begin
+        let via = Routing.rib_via rt u j in
+        let s =
+          match params.alt_selection with
+          | Greedy_local -> local_spare f i u via
+          | Oracle_bottleneck -> bottleneck_spare f i u via
+        in
+        if s > 0. && (s > !best_s || (s = !best_s && via < !best)) then begin
+          best := via;
+          best_s := s
+        end
+      end
+    done;
+    !best
+  in
   let adapt_mifo deployment f =
     if (not f.on_default) && path_drained f.default_links then
       (* hysteresis satisfied: resume the default path *)
@@ -293,52 +401,19 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
          per flow per epoch. *)
       let len = Array.length f.path in
       let rec scan i =
-        if i >= len - 1 then ()
-        else begin
+        if i < len - 1 then begin
           let u = f.path.(i) in
-          let l = f.links.(i) in
-          if congested l && Deployment.capable deployment u then begin
-            let rt = Routing_table.get table f.spec.dst in
-            let upstream =
-              if i = 0 then None else Some (As_graph.rel_exn g u f.path.(i - 1))
+          if congested f.links.(i) && Deployment.capable deployment u then begin
+            let tag =
+              if i = 0 then Policy.source_tag
+              else Policy.tag_of_upstream (As_graph.rel_exn g u f.path.(i - 1))
             in
-            let local_spare nb =
-              if nb = f.path.(i + 1) then 0.
-              else begin
-                let l' = Links.id links_reg u nb in
-                if dead l' then 0.
-                else begin
-                  let s = spare l' in
-                  if s > f.rate *. (1. +. params.improve_margin) then s else 0.
-                end
-              end
-            in
-            let candidate =
-              match params.alt_selection with
-              | Greedy_local ->
-                Alt_select.best_alternative rt ~src_as:u ~upstream
-                  ~spare:local_spare
-              | Oracle_bottleneck ->
-                (* Ablation: score by the true end-to-end bottleneck spare
-                   of the spliced path - information no border router has
-                   at line speed; quantifies what the greedy local rule
-                   gives up. *)
-                Alt_select.best_by rt ~src_as:u ~upstream ~score:(fun e ->
-                    if local_spare e.Routing.via <= 0. then 0.
-                    else begin
-                      let path = splice rt f.path i e.Routing.via in
-                      if path_has_dup path then 0.
-                      else
-                        Array.fold_left
-                          (fun acc l -> Float.min acc (spare l))
-                          infinity (path_links links_reg path)
-                    end)
-            in
-            match candidate with
-            | Some entry ->
-              let path = splice rt f.path i entry.Routing.via in
-              if not (path_has_dup path) then switch_to f path else scan (i + 1)
-            | None -> scan (i + 1)
+            let via = best_via f i u ~tag in
+            if via < 0 then scan (i + 1)
+            else begin
+              let path = splice f.rt f.path i via in
+              if path_has_dup path then scan (i + 1) else switch_to f path
+            end
           end
           else scan (i + 1)
         end
@@ -357,11 +432,10 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     if !miro_may_act && Deployment.capable deployment src then begin
       let bottleneck_congested = Array.exists congested f.links in
       if f.on_default && bottleneck_congested then begin
-        let rt = Routing_table.get table f.spec.dst in
         let candidates =
           Mifo_miro.Miro.candidates
             ~config:{ Mifo_miro.Miro.cap = miro_cap }
-            rt ~deployment ~src
+            f.rt ~deployment ~src
         in
         begin
           (* Candidates are scored by the spare capacity of the source's
@@ -369,7 +443,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
              MIFO uses; neither protocol can probe end-to-end available
              bandwidth at line speed (Section III-C). *)
           let score (e : Routing.rib_entry) =
-            let path = splice rt f.path 0 e.via in
+            let path = splice f.rt f.path 0 e.via in
             if path_has_dup path then None
             else Some (path, spare (Links.id links_reg src e.via))
           in
@@ -400,6 +474,14 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     | Mifo deployment -> adapt_mifo deployment
     | Miro { deployment; cap } -> adapt_miro deployment cap
   in
+  (* Can [adapt] move any flow this epoch?  Never under BGP; under MIRO
+     only in the first epoch of each reaction window. *)
+  let may_adapt () =
+    match protocol with
+    | Bgp -> false
+    | Mifo _ -> true
+    | Miro _ -> !miro_may_act
+  in
   let epochs = ref 0 in
   let completed = ref 0 in
   let last_sample = ref neg_infinity in
@@ -427,6 +509,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     do
       let f = flows.(!next_arrival) in
       Mifo_util.Vec.push active f;
+      settled := false;
       (match solver with
       | Some sv ->
         f.slot <- Maxmin.Solver.register sv (Maxmin.dedup_links f.links);
@@ -437,23 +520,21 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     (* adaptation against last epoch's utilization, most-starved flows
        first: the flows with the least bandwidth get first pick of the
        spare capacity, so deflections relieve hotspots instead of
-       cannibalizing healthy flows *)
-    Array.fill planned 0 nlinks 0.;
+       cannibalizing healthy flows.  No pass runs when it could not move
+       a flow. *)
     let window = int_of_float (!time /. Float.max params.dt params.miro_reaction) in
     miro_may_act := window <> !miro_window;
     if !miro_may_act then miro_window := window;
     let nactive = Mifo_util.Vec.length active in
-    if !epochs > 1 && nactive > 0 then begin
+    if !epochs > 1 && nactive > 0 && may_adapt () && not !settled then begin
       ensure_scratch order_scratch nactive (Mifo_util.Vec.get active 0);
       let order = !order_scratch in
       for i = 0 to nactive - 1 do
         order.(i) <- Mifo_util.Vec.get active i
       done;
-      Mifo_util.Sort.sort_prefix
-        ~cmp:(fun a b ->
-          let c = Float.compare a.rate b.rate in
-          if c <> 0 then c else Int.compare a.idx b.idx)
-        order nactive;
+      sort_by_rank order nactive;
+      Array.fill planned 0 nlinks 0.;
+      settled := true;
       for i = 0 to nactive - 1 do
         adapt order.(i)
       done
@@ -470,6 +551,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
         done;
         Maxmin.Solver.solve sv slots nactive;
         dirty := false;
+        settled := false;
         incr solves;
         Obs.incr c_solves;
         for i = 0 to nactive - 1 do
@@ -484,6 +566,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
       let flow_links = Array.map (fun f -> f.links) active_arr in
       let rates = Maxmin.allocate ~capacities ~flow_links in
       Array.iteri (fun i f -> f.rate <- rates.(i)) active_arr;
+      settled := false;
       incr solves;
       Obs.incr c_solves;
       alloc := Maxmin.link_allocation ~capacities ~flow_links ~rates);

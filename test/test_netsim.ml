@@ -717,6 +717,303 @@ let test_flowsim_series_grid () =
     r2.Flowsim.series;
   Alcotest.(check bool) "no sample bunching" true !ok
 
+(* Bad params used to hang [run]: [dt <= 0] never advances time and
+   [series_interval <= 0] spins the sampling cursor. *)
+let test_flowsim_param_validation () =
+  let table = Lazy.force table in
+  let flows = mk_flows [ (100, 200, 0.) ] in
+  let d = Flowsim.default_params in
+  let reject field params =
+    match Flowsim.run ~params table Flowsim.Bgp flows with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true
+        (String.starts_with ~prefix:("Flowsim.run: " ^ field ^ " ") msg)
+    | _ -> Alcotest.failf "%s: bad value accepted" field
+  in
+  List.iter
+    (fun dt -> reject "dt" { d with Flowsim.dt })
+    [ 0.; -0.01; Float.nan ];
+  List.iter
+    (fun series_interval -> reject "series_interval" { d with Flowsim.series_interval })
+    [ 0.; -1.; Float.nan ];
+  List.iter
+    (fun link_capacity -> reject "link_capacity" { d with Flowsim.link_capacity })
+    [ 0.; -1e9; Float.nan ];
+  reject "max_time" { d with Flowsim.max_time = Float.nan };
+  reject "congest_threshold" { d with Flowsim.congest_threshold = Float.nan };
+  reject "clear_threshold" { d with Flowsim.clear_threshold = Float.nan }
+
+(* Every field of two results, floats compared bit for bit. *)
+let check_same_result what (expected : Flowsim.result) (got : Flowsim.result) =
+  let bits = Int64.bits_of_float in
+  let f64 name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
+  Alcotest.(check int) (what ^ ": epochs") expected.Flowsim.epochs got.Flowsim.epochs;
+  Alcotest.(check int) (what ^ ": solves") expected.Flowsim.solves got.Flowsim.solves;
+  f64 "sim_end" expected.Flowsim.sim_end got.Flowsim.sim_end;
+  f64 "offload" expected.Flowsim.offload_fraction got.Flowsim.offload_fraction;
+  let series (r : Flowsim.result) =
+    Array.map (fun (t, v) -> (bits t, bits v)) r.Flowsim.series
+  in
+  Alcotest.(check (array (pair int64 int64)))
+    (what ^ ": series") (series expected) (series got);
+  Alcotest.(check int) (what ^ ": flows")
+    (Array.length expected.Flowsim.flows) (Array.length got.Flowsim.flows);
+  Array.iteri
+    (fun i (e : Flowsim.flow_stats) ->
+      let g = got.Flowsim.flows.(i) in
+      let name field = Printf.sprintf "flow %d %s" i field in
+      Alcotest.(check (pair int int)) (what ^ ": " ^ name "endpoints")
+        (e.Flowsim.spec.Flowsim.src, e.Flowsim.spec.Flowsim.dst)
+        (g.Flowsim.spec.Flowsim.src, g.Flowsim.spec.Flowsim.dst);
+      f64 (name "size") e.Flowsim.spec.Flowsim.size_bits g.Flowsim.spec.Flowsim.size_bits;
+      f64 (name "start") e.Flowsim.spec.Flowsim.start g.Flowsim.spec.Flowsim.start;
+      f64 (name "throughput") e.Flowsim.throughput g.Flowsim.throughput;
+      f64 (name "finish") e.Flowsim.finish g.Flowsim.finish;
+      Alcotest.(check bool) (what ^ ": " ^ name "completed") e.Flowsim.completed
+        g.Flowsim.completed;
+      Alcotest.(check int) (what ^ ": " ^ name "switches") e.Flowsim.switches
+        g.Flowsim.switches;
+      Alcotest.(check bool) (what ^ ": " ^ name "used_alt") e.Flowsim.used_alt
+        g.Flowsim.used_alt;
+      f64 (name "alt_time") e.Flowsim.alt_time g.Flowsim.alt_time;
+      Alcotest.(check (array int)) (what ^ ": " ^ name "final_path") e.Flowsim.final_path
+        g.Flowsim.final_path;
+      f64 (name "final_rate") e.Flowsim.final_rate g.Flowsim.final_rate)
+    expected.Flowsim.flows
+
+let run_both ?params ?failures what table protocol flows =
+  let got = Flowsim.run ?params ?failures table protocol flows in
+  check_same_result what (Flowsim_oracle.run ?params ?failures table protocol flows) got;
+  got
+
+(* Deflection gadget toward D = 0.  S = 4 reaches D over two hops via
+   each of its customers C = 1 (the default, lower id) and C2 = 7, its
+   peer P = 3 and its provider Q = 2; X = 5 is a provider and Y = 6 a
+   peer of S whose only route runs through S.  S's RIB alternatives in
+   preference order are C2, P, Q — the reverse of their id order. *)
+let deflection_gadget () =
+  As_graph.create ~n:8
+    ~edges:
+      [
+        (1, 0, As_graph.Provider_customer);
+        (2, 0, As_graph.Provider_customer);
+        (3, 0, As_graph.Provider_customer);
+        (7, 0, As_graph.Provider_customer);
+        (4, 1, As_graph.Provider_customer);
+        (4, 7, As_graph.Provider_customer);
+        (2, 4, As_graph.Provider_customer);
+        (5, 4, As_graph.Provider_customer);
+        (4, 3, As_graph.Peer_peer);
+        (4, 6, As_graph.Peer_peer);
+      ]
+
+(* Two epochs: the flows are ranked and adapted exactly once, against
+   the rates of the first solve. *)
+let one_adaptation = { Flowsim.default_params with Flowsim.max_time = 0.015 }
+
+(* [k] equal, never-finishing flows from [src] to D, adapted once with
+   only S MIFO-capable; every run is also checked against the oracle. *)
+let deflect ?(params = one_adaptation) ?failures ?(selection = Flowsim.Greedy_local) ~src
+    ~k what =
+  let table = Routing_table.create (deflection_gadget ()) in
+  let flows =
+    Array.init k (fun _ -> { Flowsim.src; dst = 0; size_bits = 1e12; start = 0. })
+  in
+  let params = { params with Flowsim.alt_selection = selection } in
+  run_both ~params ?failures what table (Flowsim.Mifo (Deployment.of_list ~n:8 [ 4 ])) flows
+
+let test_flowsim_chooser_tie_to_lower_via () =
+  List.iter
+    (fun selection ->
+      let r = deflect ~selection ~src:4 ~k:2 "tie" in
+      (* every alternative has the full link spare: Q = 2 wins the tie
+         although the RIB ranks it last *)
+      Alcotest.(check (array int)) "first-ranked flow takes the lower via" [| 4; 2; 0 |]
+        r.Flowsim.flows.(0).Flowsim.final_path;
+      (* its move is charged to S -> Q, so the next flow sees more spare
+         on S -> P = 3 than on S -> Q *)
+      Alcotest.(check (array int)) "next flow sees the planned load" [| 4; 3; 0 |]
+        r.Flowsim.flows.(1).Flowsim.final_path)
+    [ Flowsim.Greedy_local; Flowsim.Oracle_bottleneck ]
+
+let test_flowsim_chooser_valley_filter () =
+  (* traffic entering S from its provider X or its peer Y may leave only
+     toward a customer: C2 = 7, though P and Q have as much spare and
+     lower ids *)
+  List.iter
+    (fun src ->
+      let r = deflect ~src ~k:2 (Printf.sprintf "upstream %d" src) in
+      Alcotest.(check (array int)) "deflected onto the customer alternative"
+        [| src; 4; 7; 0 |] r.Flowsim.flows.(0).Flowsim.final_path)
+    [ 5; 6 ]
+
+let test_flowsim_chooser_margin_is_strict () =
+  (* two flows at 1/2 capacity each; every alternative's spare is the
+     full capacity, exactly rate * (1 + 1) *)
+  let at margin =
+    deflect
+      ~params:{ one_adaptation with Flowsim.improve_margin = margin }
+      ~src:4 ~k:2
+      (Printf.sprintf "margin %g" margin)
+  in
+  let switches (r : Flowsim.result) =
+    Array.fold_left (fun acc (s : Flowsim.flow_stats) -> acc + s.Flowsim.switches) 0
+      r.Flowsim.flows
+  in
+  Alcotest.(check int) "spare equal to the threshold: no move" 0 (switches (at 1.));
+  Alcotest.(check int) "spare just above it: both flows move" 2 (switches (at 0.99))
+
+let test_flowsim_chooser_dead_link_scores_zero () =
+  (* S's default link is down: its two flows get half the dead link's
+     hair of capacity each, so a dead alternative's leftover hair
+     would beat their rate by the margin if it were scored *)
+  let dead = [ (0., (4, 1)); (0., (4, 2)); (0., (4, 3)) ] in
+  let r = deflect ~failures:((0., (4, 7)) :: dead) ~src:4 ~k:2 "all dead" in
+  Array.iter
+    (fun (s : Flowsim.flow_stats) ->
+      Alcotest.(check int) "no move onto a dead link" 0 s.Flowsim.switches)
+    r.Flowsim.flows;
+  let r = deflect ~failures:dead ~src:4 ~k:2 "C2 alive" in
+  Alcotest.(check (array int)) "the live alternative is taken" [| 4; 7; 0 |]
+    r.Flowsim.flows.(0).Flowsim.final_path
+
+(* A link failure must wake a network whose last pass moved nothing,
+   and a completion must drop the finished flow from the next pass's
+   order.  Three flows leave provider X = 5 through S = 4: E (to S,
+   small), B (to S) and A (to D over S -> C = 1).  X -> S is their
+   shared bottleneck, so S -> C is not congested and no pass moves
+   anything.  E finishes in the epoch at t = 0.02, then S -> C fails
+   and the epoch at t = 0.03 must move A onto S's only customer
+   alternative C2 = 7 at once, before the solve starves it. *)
+let test_flowsim_failure_wakes_settled_pass () =
+  let table = Routing_table.create (deflection_gadget ()) in
+  let rate = 1e9 /. 3. in
+  let flows =
+    [|
+      { Flowsim.src = 5; dst = 4; size_bits = 0.025 *. rate; start = 0. };
+      { Flowsim.src = 5; dst = 4; size_bits = 1e12; start = 0. };
+      { Flowsim.src = 5; dst = 0; size_bits = 1e12; start = 0. };
+    |]
+  in
+  let params = { Flowsim.default_params with Flowsim.max_time = 0.035 } in
+  let r =
+    run_both ~params ~failures:[ (0.025, (4, 1)) ] "settled" table
+      (Flowsim.Mifo (Deployment.of_list ~n:8 [ 4 ]))
+      flows
+  in
+  Alcotest.(check bool) "E completed" true r.Flowsim.flows.(0).Flowsim.completed;
+  Alcotest.(check (array int)) "A moved in the failure epoch" [| 5; 4; 7; 0 |]
+    r.Flowsim.flows.(2).Flowsim.final_path
+
+(* The seed-31 snapshot under load, with every controller: the
+   differential check against the oracle is not vacuous here, since
+   MIFO and MIRO both move flows. *)
+let test_flowsim_matches_oracle_under_load () =
+  let table = Lazy.force table in
+  let n = As_graph.n (Routing_table.graph table) in
+  let flows =
+    Mifo_traffic.Traffic.uniform (Mifo_util.Prng.create ~seed:4 ()) ~n_ases:n ~count:300
+      ~rate:4000. ()
+  in
+  let params = { quick_params with Flowsim.max_time = 3. } in
+  let half = Deployment.fraction ~n ~ratio:0.5 ~seed:4 in
+  let moved (r : Flowsim.result) =
+    Array.exists (fun (s : Flowsim.flow_stats) -> s.Flowsim.switches > 0) r.Flowsim.flows
+  in
+  ignore (run_both ~params "bgp" table Flowsim.Bgp flows);
+  Alcotest.(check bool) "MIRO moved flows" true
+    (moved
+       (run_both ~params "miro" table
+          (Flowsim.Miro { deployment = Deployment.full ~n; cap = 5 })
+          flows));
+  Alcotest.(check bool) "MIFO moved flows" true
+    (moved (run_both ~params "mifo" table (Flowsim.Mifo half) flows));
+  (* dense small snapshots, where a stale adaptation order changes who
+     gets a contested alternative *)
+  List.iter
+    (fun seed ->
+      let g =
+        (Generator.generate
+           ~params:
+             {
+               Generator.default_params with
+               Generator.ases = 30;
+               tier1 = 3;
+               content_providers = 1;
+               content_peer_span = (1, 4);
+             }
+           ~seed ())
+          .Generator.graph
+      in
+      let n = As_graph.n g in
+      let flows =
+        Mifo_traffic.Traffic.uniform (Mifo_util.Prng.create ~seed ()) ~n_ases:n ~count:100
+          ~rate:500. ~size_bits:2e8 ()
+      in
+      let params = { Flowsim.default_params with Flowsim.max_time = 2. } in
+      ignore
+        (run_both ~params (Printf.sprintf "dense %d" seed) (Routing_table.create g)
+           (Flowsim.Mifo (Deployment.fraction ~n ~ratio:0.5 ~seed))
+           flows))
+    [ 1; 5; 10 ]
+
+let prop_flowsim_matches_oracle =
+  QCheck2.Test.make ~name:"flowsim: every result matches the reference simulator"
+    ~count:60
+    QCheck2.Gen.(
+      quad
+        (pair (int_range 12 120) (int_bound 1000))
+        (pair (int_bound 2) (float_bound_inclusive 1.))
+        (triple bool bool bool)
+        (pair (int_range 2 60) (list_size (int_bound 3) (pair (int_bound 1000) (float_bound_inclusive 1.)))))
+    (fun ((ases, seed), (proto, ratio), (oracle_sel, reference, skip), (count, cuts)) ->
+      let g =
+        (Generator.generate
+           ~params:
+             {
+               Generator.default_params with
+               Generator.ases;
+               tier1 = 3;
+               content_providers = 1;
+               content_peer_span = (1, 4);
+             }
+           ~seed ())
+          .Generator.graph
+      in
+      let n = As_graph.n g in
+      let table = Routing_table.create g in
+      let flows =
+        Mifo_traffic.Traffic.uniform (Mifo_util.Prng.create ~seed ()) ~n_ases:n ~count
+          ~rate:200. ~size_bits:2e8 ()
+      in
+      let deployment = Deployment.fraction ~n ~ratio ~seed in
+      let protocol =
+        match proto with
+        | 0 -> Flowsim.Bgp
+        | 1 -> Flowsim.Miro { deployment; cap = 1 + (seed mod 5) }
+        | _ -> Flowsim.Mifo deployment
+      in
+      (* link failures: the first neighbor of a random AS, at a random time *)
+      let failures =
+        List.map
+          (fun (v, at) ->
+            let u = v mod n in
+            (at, (u, (As_graph.neighbors g u).(0))))
+          cuts
+      in
+      let params =
+        {
+          Flowsim.default_params with
+          Flowsim.max_time = 2.;
+          miro_reaction = 0.1;
+          alt_selection = (if oracle_sel then Flowsim.Oracle_bottleneck else Flowsim.Greedy_local);
+          engine = (if reference then Flowsim.Reference else Flowsim.Incremental);
+          skip_clean_epochs = skip;
+        }
+      in
+      ignore (run_both ~params ~failures "generated" table protocol flows);
+      true)
+
 (* ---------- Packetsim ---------- *)
 
 (* Two hosts connected through two routers in a line. *)
@@ -1287,6 +1584,20 @@ let () =
             test_flowsim_engines_bit_identical;
           Alcotest.test_case "series locked to the sampling grid" `Quick
             test_flowsim_series_grid;
+          Alcotest.test_case "param validation" `Quick test_flowsim_param_validation;
+          Alcotest.test_case "chooser: equal spare to the lower via" `Quick
+            test_flowsim_chooser_tie_to_lower_via;
+          Alcotest.test_case "chooser: upstream valley filter" `Quick
+            test_flowsim_chooser_valley_filter;
+          Alcotest.test_case "chooser: margin is strict" `Quick
+            test_flowsim_chooser_margin_is_strict;
+          Alcotest.test_case "chooser: dead link scores zero" `Quick
+            test_flowsim_chooser_dead_link_scores_zero;
+          Alcotest.test_case "failure wakes a settled pass" `Quick
+            test_flowsim_failure_wakes_settled_pass;
+          Alcotest.test_case "matches the reference under load" `Quick
+            test_flowsim_matches_oracle_under_load;
+          QCheck_alcotest.to_alcotest prop_flowsim_matches_oracle;
         ] );
       ( "packetsim",
         [
