@@ -18,16 +18,24 @@ fmt-check:
 	fi
 
 # Smoke-test the observability surface: run a small validation scenario
-# with --metrics/--trace and check the outputs are well-formed.  The
-# validate subcommand itself exits non-zero on any invariant violation.
+# with --metrics/--trace and a small fig12 run with --metrics, and check
+# the outputs are well-formed and that neither snapshot carries a null
+# gauge (a gauge that was never set is left out).  The validate
+# subcommand itself exits non-zero on any invariant violation.
 metrics-smoke:
 	dune exec bin/mifo_sim.exe -- validate --ases 80 --flows 8 \
 		--metrics _build/metrics-smoke.json --trace _build/trace-smoke.jsonl
+	dune exec bin/mifo_sim.exe -- fig12 --megabytes 1 --flows-per-source 2 \
+		--metrics _build/metrics-smoke-fig12.json >/dev/null
 	@if command -v python3 >/dev/null 2>&1; then \
 		python3 -m json.tool _build/metrics-smoke.json >/dev/null && \
 		python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1]) if l.strip()]' \
 			_build/trace-smoke.jsonl && \
-		echo "metrics-smoke: JSON outputs parse"; \
+		python3 -c 'import json,sys; \
+nulls={p: [k for k, v in json.load(open(p))["gauges"].items() if v is None] for p in sys.argv[1:]}; \
+assert not any(nulls.values()), "null gauges: %s" % nulls' \
+			_build/metrics-smoke.json _build/metrics-smoke-fig12.json && \
+		echo "metrics-smoke: JSON outputs parse, no null gauges"; \
 	else \
 		echo "metrics-smoke: python3 not installed, skipping JSON parse check"; \
 	fi
@@ -111,10 +119,7 @@ static-check:
 # loop), both eventq engines must report bit-identical
 # event counts and completions (the bench exits 1 on any divergence,
 # and the JSON is re-checked here), and BENCH_sim.json must be
-# well-formed JSON.  The sharded legs run each workload at domains=1
-# and domains=2/4 and must be bit-identical to the serial oracle; the
-# JSON must record the jobs actually used and must not quote a shard
-# speedup on a 1-core box.  A second leg runs the routing track on a
+# well-formed JSON.  A second leg runs the routing track on a
 # downsized 44K-shaped topology and asserts the CSR/boxed RIBs and the
 # incremental/full verifier verdicts agree, that jobs/peak-memory are
 # recorded, and that no speedup is quoted on a 1-core box.  A malformed
@@ -125,8 +130,6 @@ bench-smoke:
 	MIFO_SIM_ASES=60 MIFO_SIM_FLOWS=60 MIFO_SIM_TIME=5 \
 	MIFO_PKT_ASES=4 MIFO_PKT_FLOWS=4 MIFO_PKT_KB=50 \
 	MIFO_PKT2_ASES=8 MIFO_PKT2_FLOWS=6 MIFO_PKT2_KB=50 \
-	MIFO_SHARD_ASES=6 MIFO_SHARD_FLOWS=8 MIFO_SHARD_KB=100 \
-	MIFO_SHARD2_ROUTERS=24 MIFO_SHARD2_FLOWS=8 MIFO_SHARD2_KB=100 \
 	MIFO_BENCH_SIM_OUT=_build/BENCH_sim-smoke.json \
 		dune exec bench/main.exe -- sim
 	@if command -v python3 >/dev/null 2>&1; then \
@@ -139,16 +142,9 @@ bad=[r["label"] for r in rows if not r["bit_identical"]]; \
 assert not bad, "engines diverged: %s" % bad; \
 fs={}; [fs.setdefault(r["label"], set()).add(r["protocol"]) for r in d["flowsim"]]; \
 assert fs and all(p == {"bgp", "miro50", "mifo"} for p in fs.values()), \
-	"flowsim rows must cover bgp, miro50 and mifo at every size: %s" % fs; \
-sh=d.get("shard") or []; \
-assert sh, "no shard rows"; \
-bad=[r["label"] for r in sh if not r["bit_identical"]]; \
-assert not bad, "sharded runs diverged from the serial oracle: %s" % bad; \
-assert all("jobs" in r and r["runs"] for r in sh), "shard jobs/runs not recorded"; \
-assert d["machine"]["cores"] > 1 or all("speedup" not in r for r in sh), \
-	"shard speedup quoted on a 1-core box"' \
+	"flowsim rows must cover bgp, miro50 and mifo at every size: %s" % fs' \
 			_build/BENCH_sim-smoke.json && \
-		echo "bench-smoke: heap/wheel engines, flowsim controllers and sharded runs bit-identical"; \
+		echo "bench-smoke: heap/wheel engines and flowsim controllers bit-identical"; \
 	else \
 		echo "bench-smoke: python3 not installed, skipping JSON parse check"; \
 	fi

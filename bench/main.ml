@@ -830,7 +830,7 @@ let pkt_chain ~k ~nflows ~kb config =
    load so nothing drops: every queued packet is a scheduled departure,
    which is exactly the deep-backlog regime the eventq engines are
    being compared under. *)
-let pkt_dumbbell ?(uplink_delay = fun _ -> 50e-6) ~k ~nflows ~kb config =
+let pkt_dumbbell ~k ~nflows ~kb config =
   let module Engine = Mifo_core.Engine in
   let module Prefix = Mifo_bgp.Prefix in
   let module Rel = Mifo_topology.Relationship in
@@ -856,7 +856,7 @@ let pkt_dumbbell ?(uplink_delay = fun _ -> 50e-6) ~k ~nflows ~kb config =
       P.connect sim ~a:routers.(i) ~b:routers.(core)
         ~kind_ab:(Engine.Ebgp { neighbor_as = core + 1; rel = Rel.Provider })
         ~kind_ba:(Engine.Ebgp { neighbor_as = i + 1; rel = Rel.Customer })
-        ~rate:20e9 ~delay:(uplink_delay i) ()
+        ~rate:20e9 ()
     in
     up.(i) <- ps;
     down.(i) <- pc;
@@ -994,142 +994,13 @@ let packetsim_bench () =
     ~build:(pkt_dumbbell ~k:k2 ~nflows:nflows2 ~kb:kb2)
     ~ases:k2 ~nflows:nflows2 ~kb:kb2
 
-(* --- Sharded packetsim ------------------------------------------------- *)
-
-(* Conservative-window sharding benched against its own serial oracle:
-   the same workload at domains=1 (the plain event loop) and at each
-   requested shard count, asserted bit-identical.  The topologies get
-   deterministic per-stub delay jitter so no cross-shard arrival shares
-   an exact timestamp with an independently scheduled local event — the
-   one tie class conservative windows cannot re-order (DESIGN.md).
-
-   Honesty convention as in the routing bench: [jobs] records what the
-   shared pool actually runs; on a 1-core box the windows execute
-   serially under the fork/join barrier (slower than the serial loop,
-   which is fine — bit-identity is the assertion) and no speedup is
-   quoted. *)
-
-type shard_sample = {
-  sh_domains : int;  (* event loops actually created *)
-  sh_secs : float;
-  sh_cut : int;
-  sh_lookahead : float;
-  sh_windows : int;
-}
-
-type shard_size = {
-  shard_label : string;
-  shard_routers : int;
-  shard_flows : int;
-  shard_kb : int;
-  shard_jobs : int;  (* pool size actually used for the windows *)
-  shard_serial : pkt_engine_sample;
-  shard_runs : shard_sample list;
-  shard_identical : bool;
-}
-
-let shard_sizes : shard_size list ref = ref []
-
-(* Deterministic, distinct-per-stub uplink latencies (all within
-   [50us, 79us)): kills exact-timestamp ties across shard cuts. *)
-let jittered_uplink i = 50e-6 *. (1. +. (float_of_int (((7 * i) + 3) mod 97) /. 173.))
-
-let shard_bench_size ~label ~build ~routers ~nflows ~kb ~domains_list =
-  let jobs = Mifo_util.Parallel.jobs (Mifo_util.Parallel.get_default ()) in
-  let run_at domains =
-    Gc.compact ();
-    let config = { P.default_config with P.domains } in
-    let sim = build config in
-    let t0 = Unix.gettimeofday () in
-    Obs.time_phase
-      (Printf.sprintf "bench.packetsim.shard.%s.d%d" label domains)
-      (fun () -> P.run sim);
-    let secs = Unix.gettimeofday () -. t0 in
-    (secs, pkt_fingerprint sim, P.shard_stats sim)
-  in
-  let serial_secs, serial_fp, _ = run_at 1 in
-  let events, _, _ = serial_fp in
-  let serial =
-    {
-      events;
-      pkt_secs = serial_secs;
-      events_per_sec = float_of_int events /. serial_secs;
-    }
-  in
-  let identical = ref true in
-  let runs =
-    List.map
-      (fun d ->
-        let secs, fp, st = run_at d in
-        if fp <> serial_fp then begin
-          identical := false;
-          bench_failed := true;
-          Printf.printf "   <-- SHARD MISMATCH (%s, domains=%d)\n%!" label d
-        end;
-        {
-          sh_domains = st.P.shards;
-          sh_secs = secs;
-          sh_cut = st.P.cut_links;
-          sh_lookahead = st.P.lookahead;
-          sh_windows = st.P.windows;
-        })
-      domains_list
-  in
-  shard_sizes :=
-    !shard_sizes
-    @ [
-        {
-          shard_label = label;
-          shard_routers = routers;
-          shard_flows = nflows;
-          shard_kb = kb;
-          shard_jobs = jobs;
-          shard_serial = serial;
-          shard_runs = runs;
-          shard_identical = !identical;
-        };
-      ];
-  Printf.printf
-    "== Packetsim sharded (%s: %d routers, %d flows of %d KB, jobs=%d) ==\n\
-     serial:      %9d events, %6.2fs (%8.0f events/s)\n%s\
-     bit-identical: %b\n\n%!"
-    label routers nflows kb jobs events serial_secs serial.events_per_sec
-    (String.concat ""
-       (List.map
-          (fun s ->
-            Printf.sprintf
-              "  domains=%d: %6.2fs (%8.0f events/s), %d cut links, lookahead \
-               %.0fus, %d windows\n"
-              s.sh_domains s.sh_secs
-              (float_of_int events /. s.sh_secs)
-              s.sh_cut (s.sh_lookahead *. 1e6) s.sh_windows)
-          runs))
-    !identical
-
-let shard_bench () =
-  (* the 64-AS dumbbell leg, jittered *)
-  let k = Stdlib.max 4 (env_int "MIFO_SHARD_ASES" 64) in
-  let nflows = Stdlib.max 1 (env_int "MIFO_SHARD_FLOWS" 200) in
-  let kb = Stdlib.max 1 (env_int "MIFO_SHARD_KB" 2000) in
-  shard_bench_size ~label:"dumbbell"
-    ~build:(pkt_dumbbell ~uplink_delay:jittered_uplink ~k ~nflows ~kb)
-    ~routers:k ~nflows ~kb ~domains_list:[ 2; 4 ];
-  (* the fat dumbbell: ~1000 routers, one AS per stub *)
-  let k2 = Stdlib.max 4 (env_int "MIFO_SHARD2_ROUTERS" 1000) in
-  let nflows2 = Stdlib.max 1 (env_int "MIFO_SHARD2_FLOWS" 400) in
-  let kb2 = Stdlib.max 1 (env_int "MIFO_SHARD2_KB" 1000) in
-  shard_bench_size ~label:"fat-dumbbell"
-    ~build:(pkt_dumbbell ~uplink_delay:jittered_uplink ~k:k2 ~nflows:nflows2 ~kb:kb2)
-    ~routers:k2 ~nflows:nflows2 ~kb:kb2 ~domains_list:[ 2; 4 ]
-
 let sim () =
   let ases = Stdlib.max 10 (env_int "MIFO_SIM_ASES" 400) in
   let flows = Stdlib.max 2 (env_int "MIFO_SIM_FLOWS" 600) in
   let max_time = Float.max 0.1 (env_float "MIFO_SIM_TIME" 20.) in
   flowsim_bench_size ~label:"small" ~ases ~flows ~max_time;
   flowsim_bench_size ~label:"large" ~ases:(3 * ases) ~flows:(3 * flows) ~max_time;
-  packetsim_bench ();
-  shard_bench ()
+  packetsim_bench ()
 
 (* phase.<name>.seconds gauges accumulated by Obs.time_phase across
    whatever ran this invocation — figures, benches, everything *)
@@ -1201,58 +1072,17 @@ let write_sim_json path =
         Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map pkt ps))
     in
     let cores = Domain.recommended_domain_count () in
-    let shard_run serial_events r =
-      Printf.sprintf
-        "{\"domains\": %d, \"secs\": %.6f, \"events_per_sec\": %.1f, \
-         \"cut_links\": %d, \"lookahead_us\": %.1f, \"windows\": %d}"
-        r.sh_domains r.sh_secs
-        (float_of_int serial_events /. r.sh_secs)
-        r.sh_cut (r.sh_lookahead *. 1e6) r.sh_windows
-    in
-    let shard s =
-      (* Honesty rule shared with the routing bench: only quote a speedup
-         when the pool actually ran the windows in parallel. *)
-      let speedup =
-        if cores > 1 && s.shard_jobs > 1 then
-          match s.shard_runs with
-          | best :: _ ->
-            Printf.sprintf ", \"speedup\": %.3f"
-              (s.shard_serial.pkt_secs
-              /. List.fold_left (fun a r -> Float.min a r.sh_secs) best.sh_secs
-                   s.shard_runs)
-          | [] -> ""
-        else ""
-      in
-      Printf.sprintf
-        "    {\"label\": \"%s\", \"routers\": %d, \"flows\": %d, \"kb\": %d, \
-         \"jobs\": %d,\n\
-        \     \"serial\": %s,\n\
-        \     \"runs\": [%s],\n\
-        \     \"bit_identical\": %b%s}"
-        (json_escape s.shard_label) s.shard_routers s.shard_flows s.shard_kb
-        s.shard_jobs
-        (pkt_engine s.shard_serial)
-        (String.concat ", "
-           (List.map (shard_run s.shard_serial.events) s.shard_runs))
-        s.shard_identical speedup
-    in
-    let shard_json =
-      match !shard_sizes with
-      | [] -> "null"
-      | ss -> Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map shard ss))
-    in
     let oc = open_out path in
     Printf.fprintf oc
       "{\n\
       \  \"machine\": {\"cores\": %d},\n\
       \  \"flowsim\": [\n%s\n  ],\n\
       \  \"packetsim\": %s,\n\
-      \  \"shard\": %s,\n\
       \  \"figure_secs\": {%s}\n\
        }\n"
       cores
       (String.concat ",\n" (List.map size sizes))
-      packetsim shard_json (figure_secs_json ());
+      packetsim (figure_secs_json ());
     close_out oc;
     Printf.printf "[wrote %s]\n%!" path
 

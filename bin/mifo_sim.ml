@@ -30,8 +30,7 @@ let jobs_t =
         ~docv:"N"
         ~doc:
           "Size of the shared worker-domain pool used by parallel phases (route \
-           computation, experiment fan-outs, sharded simulation windows).  \
-           Default: all cores.")
+           computation, experiment fan-outs).  Default: all cores.")
 
 let apply_jobs = function
   | None -> ()
@@ -39,19 +38,6 @@ let apply_jobs = function
   | Some n ->
     Printf.eprintf "mifo-sim: --jobs must be >= 1 (got %d)\n" n;
     exit 2
-
-let domains_t =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ]
-        ~env:
-          (Cmd.Env.info "MIFO_SIM_DOMAINS"
-             ~doc:"Same as $(b,--domains); the flag wins when both are given.")
-        ~docv:"N"
-        ~doc:
-          "Shard the packet-level simulator across $(docv) per-domain event loops \
-           synchronized by conservative time windows.  $(docv)=1 (the default) is \
-           the serial oracle; every other value is bit-identical to it.")
 
 let ases_t =
   Arg.(
@@ -235,7 +221,7 @@ let fig12_cmd =
       value & opt int 30
       & info [ "flows-per-source" ] ~docv:"N" ~doc:"Back-to-back flows per source (paper: 30).")
   in
-  let run jobs obs mb fps domains csv =
+  let run jobs obs mb fps csv =
     apply_jobs jobs;
     let t0 = Mifo_testbed.Testbed.default_config in
     with_obs obs @@ fun () ->
@@ -244,7 +230,6 @@ let fig12_cmd =
         t0 with
         Mifo_testbed.Testbed.flow_bytes = mb * 1_000_000;
         flows_per_source = fps;
-        sim = { t0.Mifo_testbed.Testbed.sim with Mifo_netsim.Packetsim.domains };
       }
     in
     let t = Exp.Fig12.run ~config () in
@@ -253,7 +238,7 @@ let fig12_cmd =
   in
   Cmd.v
     (Cmd.info "fig12" ~doc:"Regenerate Fig. 12 (testbed: aggregate throughput and FCT).")
-    Term.(const run $ jobs_t $ obs_t $ mb_t $ fps_t $ domains_t $ csv_t)
+    Term.(const run $ jobs_t $ obs_t $ mb_t $ fps_t $ csv_t)
 
 let ablations_cmd =
   cmd_of "ablations" ~doc:"Run the design-choice ablation benches." (fun ctx ->
@@ -269,10 +254,10 @@ let ablations_cmd =
         ])
 
 let validate_cmd =
-  let run jobs obs seed ases flows eventq domains =
+  let run jobs obs seed ases flows eventq =
     apply_jobs jobs;
     with_obs obs @@ fun () ->
-    let v = Mifo_exp.Validation.run ~ases ~flows ~eventq ~domains ~seed () in
+    let v = Mifo_exp.Validation.run ~ases ~flows ~eventq ~seed () in
     print_string (Mifo_exp.Validation.render v);
     if List.exists (fun (_, ok) -> not ok) v.Mifo_exp.Validation.invariants then exit 1
   in
@@ -299,7 +284,7 @@ let validate_cmd =
        ~doc:
          "Cross-validate the flow-level and packet-level simulators on one scenario. \
           Exits non-zero if a forwarding invariant is violated.")
-    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows $ v_eventq $ domains_t)
+    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows $ v_eventq)
 
 let check_cmd =
   let gadget_t =

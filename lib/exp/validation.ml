@@ -28,8 +28,7 @@ let makespan results =
     0. results
 
 let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
-    ?(eventq = Packetsim.default_config.Packetsim.eventq_engine) ?(domains = 1)
-    ~seed () =
+    ?(eventq = Packetsim.default_config.Packetsim.eventq_engine) ~seed () =
   let params =
     {
       Generator.default_params with
@@ -74,7 +73,7 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
   (* --- packet level --- *)
   let packet_run deployment =
     let config =
-      { Packetsim.default_config with Packetsim.eventq_engine = eventq; domains }
+      { Packetsim.default_config with Packetsim.eventq_engine = eventq }
     in
     let net = As_network.build ~config table ~deployment ~host_rate:20e9 ~hosts () in
     Array.iter

@@ -42,7 +42,6 @@ val run :
   ?flows:int ->
   ?flow_bytes:int ->
   ?eventq:Mifo_netsim.Eventq.engine ->
-  ?domains:int ->
   seed:int ->
   unit ->
   t
@@ -50,9 +49,6 @@ val run :
     [eventq] selects the packet-level simulator's event-queue engine
     (default: the {!Mifo_netsim.Packetsim.default_config} engine, i.e.
     the timing wheel); both engines are bit-identical, so the result
-    must not depend on the choice — handy for auditing exactly that.
-    [domains] (default 1) shards the packet-level simulator across that
-    many event loops; sharded runs are bit-identical to serial, so
-    validate doubles as an end-to-end audit of the sharded engine. *)
+    must not depend on the choice — handy for auditing exactly that. *)
 
 val render : t -> string

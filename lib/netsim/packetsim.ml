@@ -20,7 +20,6 @@ type config = {
   ibgp_encap : bool;
   eventq_engine : Eventq.engine;
   packet_trains : bool;
-  domains : int;
 }
 
 let default_config =
@@ -36,7 +35,6 @@ let default_config =
     ibgp_encap = true;
     eventq_engine = Eventq.Wheel;
     packet_trains = true;
-    domains = 1;
   }
 
 (* All-float on purpose: OCaml stores such records flat, so the per-hop
@@ -172,142 +170,62 @@ type counters = {
   deflected : int;
 }
 
-(* One event-loop execution context.  The serial engine is the
-   singleton case ([execs = [|e0|]]); a sharded run owns one [exec] per
-   shard, each with its own queue, clock, scratch counters and goodput
-   tally, so nothing mutable is shared between domains inside a
-   conservative window.  Merging at the end is exact: every field is
-   either an integer sum or single-writer per flow/node. *)
-type exec = {
-  eshard : int;
-  xq : event Eventq.t;
-  xclk : float array;
-      (* the shard clock IS its event queue's {!Eventq.time_cell}:
-         every successful pop writes the popped time into [xclk.(0)]
-         in place, so advancing time costs a flat store and reading it
-         never goes through a boxed float *)
-  mutable x_events : int;
-  mutable x_delivered : int;
-  mutable x_drop_queue : int;
-  mutable x_drop_ttl : int;
-  mutable x_drop_valley : int;
-  mutable x_drop_no_route : int;
-  mutable x_encapsulated : int;
-  mutable x_deflected : int;
-  x_goodput : int Vec.t;
-      (* delivered bits per series_interval bucket.  Integer on purpose:
-         bit counts are exact integers far below 2^53, so summing the
-         per-shard buckets reproduces the serial totals bit-for-bit —
-         float accumulation would make the merge order observable. *)
-  x_batch : int array;
-      (* per-exec train batch-size tally, indexed by exact batch size
-         (1..128); flushed into the shared histogram at daemon ticks so
-         the per-batch hot path touches no atomics *)
-  x_done_t : float Vec.t;  (* deferred completion-hook queue: finish *)
-  x_done : int Vec.t;  (* times and flow ids, drained at barriers *)
-  mutable x_hit_tick : bool;
-      (* this shard popped the window's Daemon_tick barrier marker *)
-}
-
-(* Fixed per-shard-pair boundary buffer: packets transmitted out of a
-   shard toward a node owned by another shard park here until the next
-   window barrier.  Parallel vecs, no per-packet tuple.  Single-writer
-   (the source shard) during a window, read by the coordinator at the
-   barrier — the fork/join of the window is the happens-before edge. *)
-type mailbox = {
-  mb_time : float Vec.t;
-  mb_seq : int Vec.t;  (* seq claimed from the source shard's queue *)
-  mb_node : int Vec.t;
-  mb_port : int Vec.t;
-  mb_pkt : Packet.t Vec.t;
-}
-
 type t = {
   cfg : config;
   nodes : node Vec.t;
   flows : flow_rec Vec.t;
-  mutable execs : exec array;  (* [|e0|] until sharding activates *)
-  mutable sharded : bool;
-  mutable shard_of : int array;  (* node -> shard; [||] until assigned *)
-  mutable lookahead : float;
-      (* min latency over cut links = the conservative window length *)
-  mutable mboxes : mailbox array;  (* nshards^2, row-major [src*n+dst] *)
-  mutable sh_cut_links : int;
-  mutable sh_windows : int;
-  mutable sh_ticks : int;  (* barrier daemon ticks (count as 1 event each) *)
-  mutable sh_next_tick : float;  (* infinity = no tick pending *)
+  events : event Eventq.t;
+  clk : float array;
+      (* the simulation clock IS the event queue's {!Eventq.time_cell}:
+         every successful pop writes the popped time into [clk.(0)]
+         in place, so advancing time costs a flat store and reading it
+         never goes through a boxed float *)
+  mutable events_processed : int;
+  mutable delivered_packets : int;
+  mutable dropped_queue : int;
+  mutable dropped_ttl : int;
+  mutable dropped_valley : int;
+  mutable dropped_no_route : int;
+  mutable encapsulated : int;
+  mutable deflected : int;
+  goodput_buckets : float Vec.t;  (* bits per series_interval bucket *)
   mutable daemon_scheduled : bool;
   mutable last_epoch_time : float;
   mutable on_complete : (int -> unit) option;
   mutable tracer : (float -> int -> Packet.t -> Engine.action -> unit) option;
+  batch_counts : int array;
+      (* per-sim train batch-size tally, indexed by exact batch size
+         (1..128); flushed into the shared histogram at daemon ticks so
+         the per-batch hot path touches no atomics *)
 }
 
-let make_exec ~engine eshard =
-  let xq = Eventq.create ~engine () in
-  {
-    eshard;
-    xq;
-    xclk = Eventq.time_cell xq;
-    x_events = 0;
-    x_delivered = 0;
-    x_drop_queue = 0;
-    x_drop_ttl = 0;
-    x_drop_valley = 0;
-    x_drop_no_route = 0;
-    x_encapsulated = 0;
-    x_deflected = 0;
-    x_goodput = Vec.create ();
-    x_batch = Array.make 129 0;
-    x_done_t = Vec.create ();
-    x_done = Vec.create ();
-    x_hit_tick = false;
-  }
-
-let make_mailbox () =
-  {
-    mb_time = Vec.create ();
-    mb_seq = Vec.create ();
-    mb_node = Vec.create ();
-    mb_port = Vec.create ();
-    mb_pkt = Vec.create ();
-  }
-
 let create ?(config = default_config) () =
-  if config.domains < 1 then
-    invalid_arg "Packetsim.create: domains must be >= 1";
+  let events = Eventq.create ~engine:config.eventq_engine () in
   {
     cfg = config;
     nodes = Vec.create ();
     flows = Vec.create ();
-    execs = [| make_exec ~engine:config.eventq_engine 0 |];
-    sharded = false;
-    shard_of = [||];
-    lookahead = infinity;
-    mboxes = [||];
-    sh_cut_links = 0;
-    sh_windows = 0;
-    sh_ticks = 0;
-    sh_next_tick = infinity;
+    events;
+    clk = Eventq.time_cell events;
+    events_processed = 0;
+    delivered_packets = 0;
+    dropped_queue = 0;
+    dropped_ttl = 0;
+    dropped_valley = 0;
+    dropped_no_route = 0;
+    encapsulated = 0;
+    deflected = 0;
+    goodput_buckets = Vec.create ();
     daemon_scheduled = false;
     last_epoch_time = 0.;
     on_complete = None;
     tracer = None;
+    batch_counts = Array.make 129 0;
   }
 
 let config t = t.cfg
-
-let now t =
-  let m = ref 0. in
-  Array.iter (fun ex -> if ex.xclk.(0) > !m then m := ex.xclk.(0)) t.execs;
-  !m
-
-let events_processed t =
-  Array.fold_left (fun acc ex -> acc + ex.x_events) t.sh_ticks t.execs
-
-(* The exec owning a node: its shard's when sharded, the singleton
-   otherwise.  Only used off the hot paths (handlers already hold their
-   exec) — public accessors and barrier-time code. *)
-let exec_of t id = if t.sharded then t.execs.(t.shard_of.(id)) else t.execs.(0)
+let now t = t.clk.(0)
+let events_processed t = t.events_processed
 
 (* Flow-indexed flat tables: [Vec.ensure]-grown, sentinel-initialized. *)
 let slot v i = if i >= 0 && i < Vec.length v then Vec.get v i else None
@@ -342,11 +260,6 @@ let g_levels =
    releasing a deep backlog's arrays once the backlog drains. *)
 let g_train_resident = Obs.gauge "packetsim.train.resident_elems"
 let g_train_peak = Obs.gauge "packetsim.train.peak_elems"
-
-(* Shard geometry, set when a partition is installed. *)
-let g_shard_domains = Obs.gauge "packetsim.shard.domains"
-let g_shard_cut = Obs.gauge "packetsim.shard.cut_links"
-let g_shard_lookahead = Obs.gauge "packetsim.shard.lookahead"
 
 let add_router t ~as_id =
   let r =
@@ -439,16 +352,15 @@ let port t id p = Vec.get (node t id).ports p
    next_free.  The clamp is a bare [if], not [Float.max]: an
    out-of-line float call boxes both arguments and the result, and
    this runs several times per simulated hop. *)
-let queue_bits_now (ex : exec) link =
-  let b = (link.next_free -. ex.xclk.(0)) *. link.rate in
+let queue_bits_now t link =
+  let b = (link.next_free -. t.clk.(0)) *. link.rate in
   if b > 0. then b else 0.
 
-let queue_ratio ex link = queue_bits_now ex link /. link.queue_limit_f
+let queue_ratio t link = queue_bits_now t link /. link.queue_limit_f
 
 let spare_capacity t id p =
   let link = (port t id p).link in
-  let clk = (exec_of t id).xclk in
-  let elapsed = Float.max t.cfg.daemon_period (clk.(0) -. t.last_epoch_time) in
+  let elapsed = Float.max t.cfg.daemon_period (t.clk.(0) -. t.last_epoch_time) in
   let used = (link.bits_carried -. link.carried_at_epoch) /. elapsed in
   Float.max 0. (link.rate -. used)
 
@@ -462,49 +374,31 @@ let spare_capacity t id p =
 let sample_queue_health t =
   let train_resident = ref 0 in
   for id = 0 to Vec.length t.nodes - 1 do
-    let ex = exec_of t id in
     Vec.iter
       (fun p ->
-        Obs.observe h_queue_ratio (queue_ratio ex p.link);
+        Obs.observe h_queue_ratio (queue_ratio t p.link);
         train_resident := !train_resident + Vec.capacity p.tr_time)
       (Vec.get t.nodes id).ports
   done;
   Obs.set_gauge g_train_resident (float_of_int !train_resident);
   Obs.max_gauge g_train_peak (float_of_int !train_resident);
-  Array.iter
-    (fun ex ->
-      let bc = ex.x_batch in
-      for size = 1 to Array.length bc - 1 do
-        let n = bc.(size) in
-        if n > 0 then begin
-          Obs.observe_n h_train_batch (float_of_int size) n;
-          bc.(size) <- 0
-        end
-      done)
-    t.execs;
-  (* queue gauges: the high-water over all shards, occupancy summed *)
-  let peak = ref 0 and cascades = ref 0 and ready = ref 0 in
-  let occupancy = Array.make Mifo_util.Wheel.levels 0 in
-  let have_wheel = ref false in
-  Array.iter
-    (fun ex ->
-      peak := Stdlib.max !peak (Eventq.peak_length ex.xq);
-      match Eventq.wheel_stats ex.xq with
-      | None -> ()
-      | Some st ->
-        have_wheel := true;
-        cascades := !cascades + st.Mifo_util.Wheel.cascades;
-        ready := !ready + st.Mifo_util.Wheel.ready;
-        Array.iteri
-          (fun l n -> occupancy.(l) <- occupancy.(l) + n)
-          st.Mifo_util.Wheel.occupancy)
-    t.execs;
-  Obs.set_gauge g_peak_len (float_of_int !peak);
-  if !have_wheel then begin
-    Obs.set_gauge g_cascades (float_of_int !cascades);
-    Obs.set_gauge g_ready (float_of_int !ready);
-    Array.iteri (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n)) occupancy
-  end
+  let bc = t.batch_counts in
+  for size = 1 to Array.length bc - 1 do
+    let n = bc.(size) in
+    if n > 0 then begin
+      Obs.observe_n h_train_batch (float_of_int size) n;
+      bc.(size) <- 0
+    end
+  done;
+  Obs.set_gauge g_peak_len (float_of_int (Eventq.peak_length t.events));
+  match Eventq.wheel_stats t.events with
+  | None -> ()
+  | Some st ->
+    Obs.set_gauge g_cascades (float_of_int st.Mifo_util.Wheel.cascades);
+    Obs.set_gauge g_ready (float_of_int st.Mifo_util.Wheel.ready);
+    Array.iteri
+      (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n))
+      st.Mifo_util.Wheel.occupancy
 
 (* Transmit a packet out of a node's port: tail-drop FIFO queue, then
    store-and-forward serialization and propagation.
@@ -514,15 +408,15 @@ let sample_queue_health t =
    queue seq via [alloc_seq] at exactly the point [Eventq.schedule]
    would have, so the global (time, seq) event order — and therefore
    the whole simulation — is bit-identical to per-packet scheduling. *)
-let transmit t (ex : exec) src_node p packet =
+let transmit t src_node p packet =
   let pt = port t src_node p in
   let link = pt.link in
   let wire = float_of_int (Packet.wire_size_bits packet) in
-  if queue_bits_now ex link +. wire > link.queue_limit_f then begin
-    ex.x_drop_queue <- ex.x_drop_queue + 1;
+  if queue_bits_now t link +. wire > link.queue_limit_f then begin
+    t.dropped_queue <- t.dropped_queue + 1;
     Obs.incr c_drop_queue;
     if Obs.trace_enabled () then
-      Obs.event ~t:ex.xclk.(0) "queue_drop"
+      Obs.event ~t:t.clk.(0) "queue_drop"
         [
           ("node", Obs.Int src_node);
           ("port", Obs.Int p);
@@ -530,59 +424,43 @@ let transmit t (ex : exec) src_node p packet =
         ]
   end
   else begin
-    let now = ex.xclk.(0) in
+    let now = t.clk.(0) in
     let start = if now > link.next_free then now else link.next_free in
     let done_tx = start +. (wire /. link.rate) in
     link.next_free <- done_tx;
     link.bits_carried <- link.bits_carried +. wire;
     let arrival = done_tx +. link.delay in
-    if t.sharded && t.shard_of.(pt.peer) <> ex.eshard then begin
-      (* Boundary crossing: the peer's state belongs to another shard,
-         so the arrival parks in the shard-pair mailbox until the next
-         window barrier.  The claimed seq is this shard's schedule
-         order — the mailbox merge sorts on (time, seq, source shard),
-         so two packets the same source sent at the same instant keep
-         their transmit order.  The conservative window guarantees
-         [arrival >= window end]: [delay >= lookahead] on every cut
-         link, so the destination shard has not simulated past it. *)
-      let seq = Eventq.alloc_seq ex.xq in
-      let ns = Array.length t.execs in
-      let mb = t.mboxes.((ex.eshard * ns) + t.shard_of.(pt.peer)) in
-      Vec.push mb.mb_time arrival;
-      Vec.push mb.mb_seq seq;
-      Vec.push mb.mb_node pt.peer;
-      Vec.push mb.mb_port pt.peer_port;
-      Vec.push mb.mb_pkt packet
-    end
-    else if t.cfg.packet_trains then begin
-      let seq = Eventq.alloc_seq ex.xq in
+    if t.cfg.packet_trains then begin
+      let seq = Eventq.alloc_seq t.events in
       Vec.push pt.tr_time arrival;
       Vec.push pt.tr_seq seq;
       Vec.push pt.tr_pkt packet;
       if not pt.tr_live then begin
         pt.tr_live <- true;
-        Eventq.schedule_pre ex.xq ~time:arrival ~seq pt.tr_ev
+        Eventq.schedule_pre t.events ~time:arrival ~seq pt.tr_ev
       end
       (* else: the queued entry is keyed by the train's head, whose
          (time, seq) is <= ours — FIFO order per link *)
     end
     else
-      Eventq.schedule ex.xq ~time:arrival
+      Eventq.schedule t.events ~time:arrival
         (Arrive { node = pt.peer; port = pt.peer_port; packet })
   end
 
-let record_goodput t (ex : exec) bits =
-  let bucket = int_of_float (ex.xclk.(0) /. t.cfg.series_interval) in
-  Vec.ensure ex.x_goodput (bucket + 1) 0;
-  Vec.set ex.x_goodput bucket (Vec.get ex.x_goodput bucket + bits)
+let record_goodput t bits =
+  let bucket = int_of_float (t.clk.(0) /. t.cfg.series_interval) in
+  while Vec.length t.goodput_buckets <= bucket do
+    Vec.push t.goodput_buckets 0.
+  done;
+  Vec.set t.goodput_buckets bucket (Vec.get t.goodput_buckets bucket +. bits)
 
-let engine_env t (ex : exec) id r =
+let engine_env t id r =
   {
     Engine.router_id = id;
     fib = r.r_fib;
     port_kind = (fun p -> (port t id p).kind);
     is_congested =
-      (fun p -> queue_ratio ex (port t id p).link >= t.cfg.engine_congest_ratio);
+      (fun p -> queue_ratio t (port t id p).link >= t.cfg.engine_congest_ratio);
     next_hop_router =
       (fun p ->
         let pt = port t id p in
@@ -601,14 +479,12 @@ let note_egress r flow p =
     end
   end
 
-let handle_router t (ex : exec) id r ~port:ingress packet =
+let handle_router t id r ~port:ingress packet =
   let env =
     match r.r_env with
     | Some env -> env
     | None ->
-      (* each router is processed only by the shard that owns it, so
-         capturing that shard's exec in the cached env is safe *)
-      let env = engine_env t ex id r in
+      let env = engine_env t id r in
       r.r_env <- Some env;
       env
   in
@@ -616,16 +492,16 @@ let handle_router t (ex : exec) id r ~port:ingress packet =
     Engine.forward_from ~tag_check:t.cfg.tag_check ~ibgp_encap:t.cfg.ibgp_encap env
       ~ingress packet
   in
-  (match t.tracer with Some f -> f ex.xclk.(0) id packet action | None -> ());
+  (match t.tracer with Some f -> f t.clk.(0) id packet action | None -> ());
   match action with
   | Engine.Drop { reason = Engine.Ttl_expired; _ } ->
-    ex.x_drop_ttl <- ex.x_drop_ttl + 1;
+    t.dropped_ttl <- t.dropped_ttl + 1;
     Obs.incr c_drop_ttl
   | Engine.Drop { reason = Engine.Valley_violation; _ } ->
-    ex.x_drop_valley <- ex.x_drop_valley + 1;
+    t.dropped_valley <- t.dropped_valley + 1;
     Obs.incr c_drop_valley
   | Engine.Drop { reason = Engine.No_route; _ } ->
-    ex.x_drop_no_route <- ex.x_drop_no_route + 1;
+    t.dropped_no_route <- t.dropped_no_route + 1;
     Obs.incr c_drop_no_route
   | Engine.Send { port = out; packet = packet'; default_port } ->
     (* A packet that arrived encapsulated and leaves still encapsulated
@@ -635,55 +511,52 @@ let handle_router t (ex : exec) id r ~port:ingress packet =
        one), so deflection accounting costs no second lookup. *)
     let in_transit = packet.Packet.encap <> None && packet'.Packet.encap <> None in
     if default_port >= 0 && out <> default_port && not in_transit then begin
-      ex.x_deflected <- ex.x_deflected + 1;
+      t.deflected <- t.deflected + 1;
       Obs.incr c_deflected;
       if packet'.Packet.encap <> None && packet.Packet.encap = None then begin
-        ex.x_encapsulated <- ex.x_encapsulated + 1;
+        t.encapsulated <- t.encapsulated + 1;
         Obs.incr c_encapsulated
       end
     end;
     note_egress r packet'.Packet.flow out;
-    transmit t ex id out packet'
+    transmit t id out packet'
 
 (* Host-side TCP machinery.  [arm_timer] is lazy: it moves the logical
    deadline and only touches the event queue when no queued Timeout
    fires early enough to cover it (see the [sender] field comments). *)
-(* Timer locality: a sender's Timeout events live in its host's shard
-   queue ([ex.xq]) and never cross the boundary — the RTO bookkeeping
-   below is all shard-private state. *)
-let arm_timer (ex : exec) host_id (s : sender) =
+let arm_timer t host_id (s : sender) =
   if Tcp.Sender.timer_needed s.tcp then begin
     let gen = Tcp.Sender.arm_timer s.tcp in
-    let deadline = ex.xclk.(0) +. Tcp.Sender.rto s.tcp in
+    let deadline = t.clk.(0) +. Tcp.Sender.rto s.tcp in
     s.t_gen <- gen;
     s.t_deadline <- deadline;
     if deadline < s.t_min then begin
       s.t_min <- deadline;
-      Eventq.schedule ex.xq ~time:deadline
+      Eventq.schedule t.events ~time:deadline
         (Timeout { host = host_id; flow = s.frec.id; gen })
     end
   end
   else s.t_deadline <- Float.infinity
 
-let send_segment t (ex : exec) host_id (s : sender) seq =
+let send_segment t host_id (s : sender) seq =
   s.send_times.(seq) <-
-    (if s.send_times.(seq) = Float.neg_infinity then ex.xclk.(0) else Float.nan);
+    (if s.send_times.(seq) = Float.neg_infinity then t.clk.(0) else Float.nan);
   let packet =
     Packet.make ~kind:Packet.Data ~seq ~size_bits:t.cfg.mss_bits ~src:s.frec.src_addr
       ~dst:s.frec.dst_addr ~flow:s.frec.id ()
   in
-  transmit t ex host_id 0 packet
+  transmit t host_id 0 packet
 
-let pump t (ex : exec) host_id (s : sender) =
+let pump t host_id (s : sender) =
   let rec go () =
     let seq = Tcp.Sender.next_seq_hot s.tcp in
     if seq >= 0 then begin
-      send_segment t ex host_id s seq;
+      send_segment t host_id s seq;
       go ()
     end
   in
   go ();
-  arm_timer ex host_id s
+  arm_timer t host_id s
 
 let total_segments t bytes = ((bytes * 8) + t.cfg.mss_bits - 1) / t.cfg.mss_bits
 
@@ -719,7 +592,7 @@ let add_flow t ~src ~dst ~bytes ~start =
        });
   Vec.ensure hd.receivers (id + 1) None;
   Vec.set hd.receivers id (Some (Tcp.Receiver.create ()));
-  Eventq.schedule (exec_of t src).xq ~time:start (Start_flow id);
+  Eventq.schedule t.events ~time:start (Start_flow id);
   id
 
 let add_udp_flow t ~src ~dst ~bytes ?(burst = 32) ~start () =
@@ -745,14 +618,14 @@ let add_udp_flow t ~src ~dst ~bytes ?(burst = 32) ~start () =
     (Some { u_frec = frec; u_total = total_segments t bytes; u_burst = burst; u_next_seg = 0 });
   Vec.ensure hd.udp_rx (id + 1) (-1);
   Vec.set hd.udp_rx id 0;
-  Eventq.schedule (exec_of t src).xq ~time:start (Start_flow id);
+  Eventq.schedule t.events ~time:start (Start_flow id);
   id
 
 (* One burst of an open-loop source: stream up to [u_burst] segments
    back-to-back into the host link, then come back the moment the link
    has serialized them ([next_free]) — line-rate self-pacing with no
    per-segment events at the source. *)
-let emit_burst t (ex : exec) host_id (u : udp_sender) =
+let emit_burst t host_id (u : udp_sender) =
   let pt = port t host_id 0 in
   let n = Stdlib.min u.u_burst (u.u_total - u.u_next_seg) in
   for _ = 1 to n do
@@ -762,35 +635,20 @@ let emit_burst t (ex : exec) host_id (u : udp_sender) =
       Packet.make ~kind:Packet.Data ~seq ~size_bits:t.cfg.mss_bits
         ~src:u.u_frec.src_addr ~dst:u.u_frec.dst_addr ~flow:u.u_frec.id ()
     in
-    transmit t ex host_id 0 packet
+    transmit t host_id 0 packet
   done;
   if u.u_next_seg < u.u_total then begin
     (* [next_free] only fails to advance when every segment was
        tail-dropped (host queue smaller than one burst); fall back to
        one serialization time so emission still makes progress. *)
     let next =
-      if pt.link.next_free > ex.xclk.(0) then pt.link.next_free
-      else ex.xclk.(0) +. (float_of_int t.cfg.mss_bits /. pt.link.rate)
+      if pt.link.next_free > t.clk.(0) then pt.link.next_free
+      else t.clk.(0) +. (float_of_int t.cfg.mss_bits /. pt.link.rate)
     in
-    Eventq.schedule ex.xq ~time:next (Emit { flow = u.u_frec.id })
+    Eventq.schedule t.events ~time:next (Emit { flow = u.u_frec.id })
   end
 
-(* A flow just finished.  The completion hook may add flows — safe
-   inline on the serial path, but on a sharded run it must wait for the
-   window barrier where the coordinator owns every queue; the hook then
-   fires in deterministic (finish time, flow id) order. *)
-let finish_flow t (ex : exec) (frec : flow_rec) =
-  frec.finish <- Some ex.xclk.(0);
-  match t.on_complete with
-  | None -> ()
-  | Some f ->
-    if t.sharded then begin
-      Vec.push ex.x_done_t ex.xclk.(0);
-      Vec.push ex.x_done frec.id
-    end
-    else f frec.id
-
-let handle_host t (ex : exec) id h ~port:_ packet =
+let handle_host t id h ~port:_ packet =
   match packet.Packet.kind with
   | Packet.Data -> (
     match slot h.receivers packet.Packet.flow with
@@ -799,24 +657,27 @@ let handle_host t (ex : exec) id h ~port:_ packet =
       let flow = packet.Packet.flow in
       let got = if flow < Vec.length h.udp_rx then Vec.get h.udp_rx flow else -1 in
       if got >= 0 then begin
-        ex.x_delivered <- ex.x_delivered + 1;
+        t.delivered_packets <- t.delivered_packets + 1;
         Obs.incr c_delivered;
-        record_goodput t ex packet.Packet.size_bits;
+        record_goodput t (float_of_int packet.Packet.size_bits);
         let got = got + 1 in
         Vec.set h.udp_rx flow got;
         let frec = Vec.get t.flows flow in
-        if got = total_segments t frec.bytes then finish_flow t ex frec
+        if got = total_segments t frec.bytes then begin
+          frec.finish <- Some t.clk.(0);
+          match t.on_complete with Some f -> f flow | None -> ()
+        end
       end
     | Some rcv ->
-      ex.x_delivered <- ex.x_delivered + 1;
+      t.delivered_packets <- t.delivered_packets + 1;
       Obs.incr c_delivered;
-      record_goodput t ex packet.Packet.size_bits;
+      record_goodput t (float_of_int packet.Packet.size_bits);
       let ack = Tcp.Receiver.on_data rcv packet.Packet.seq in
       let reply =
         Packet.make ~kind:Packet.Ack ~seq:ack ~size_bits:t.cfg.ack_bits
           ~src:packet.Packet.dst ~dst:packet.Packet.src ~flow:packet.Packet.flow ()
       in
-      transmit t ex id 0 reply)
+      transmit t id 0 reply)
   | Packet.Ack -> (
     match slot h.senders packet.Packet.flow with
     | None -> ()
@@ -831,17 +692,19 @@ let handle_host t (ex : exec) id h ~port:_ packet =
              Karn's rule) both fail [is_finite] and yield no sample. *)
           if ack - 1 < Array.length s.send_times then begin
             let t0 = s.send_times.(ack - 1) in
-            if Float.is_finite t0 then
-              Tcp.Sender.observe_rtt s.tcp (ex.xclk.(0) -. t0)
+            if Float.is_finite t0 then Tcp.Sender.observe_rtt s.tcp (t.clk.(0) -. t0)
           end
         end;
         let rtx = Tcp.Sender.on_ack s.tcp packet.Packet.seq in
-        List.iter (send_segment t ex id s) rtx;
-        if Tcp.Sender.is_done s.tcp then finish_flow t ex s.frec
-        else pump t ex id s
+        List.iter (send_segment t id s) rtx;
+        if Tcp.Sender.is_done s.tcp then begin
+          s.frec.finish <- Some t.clk.(0);
+          match t.on_complete with Some f -> f s.frec.id | None -> ()
+        end
+        else pump t id s
       end)
 
-let daemon_tick t ~now =
+let daemon_tick t =
   for id = 0 to Vec.length t.nodes - 1 do
     match (node t id).kind with
     | Host _ -> ()
@@ -855,7 +718,7 @@ let daemon_tick t ~now =
     | Router r -> (
       let port_utilization p =
         let link = (port t id p).link in
-        let elapsed = Float.max 1e-9 (now -. t.last_epoch_time) in
+        let elapsed = Float.max 1e-9 (t.clk.(0) -. t.last_epoch_time) in
         let used = (link.bits_carried -. link.carried_at_epoch) /. elapsed in
         Float.min 1. (used /. link.rate)
       in
@@ -876,12 +739,19 @@ let daemon_tick t ~now =
   for id = 0 to Vec.length t.nodes - 1 do
     Vec.iter (fun p -> p.link.carried_at_epoch <- p.link.bits_carried) (node t id).ports
   done;
-  t.last_epoch_time <- now
+  t.last_epoch_time <- t.clk.(0)
 
-let deliver t (ex : exec) id p packet =
+let deliver t id p packet =
   match (node t id).kind with
-  | Router r -> handle_router t ex id r ~port:p packet
-  | Host h -> handle_host t ex id h ~port:p packet
+  | Router r -> handle_router t id r ~port:p packet
+  | Host h -> handle_host t id h ~port:p packet
+
+(* A drained-empty train releases its backing arrays once they exceed
+   this many elements: a 44K-scale run's transient bufferbloat would
+   otherwise pin its ~600K-entry high-water in every deep port forever.
+   Small trains keep their arrays — re-growing an 8..1K-element array
+   on every idle period would churn for no memory win. *)
+let train_release_capacity = 1024
 
 (* Drain a port's train.  The head element was just popped by the run
    loop ([t.clk.(0)] set, counted); each following element is processed
@@ -890,14 +760,7 @@ let deliver t (ex : exec) id p packet =
    the dominant back-to-back case.  The moment something else (an event
    another handler scheduled, or [until]) preempts, the train goes back
    into the queue keyed by its new head. *)
-(* A drained-empty train releases its backing arrays once they exceed
-   this many elements: a 44K-scale run's transient bufferbloat would
-   otherwise pin its ~600K-entry high-water in every deep port forever.
-   Small trains keep their arrays — re-growing an 8..1K-element array
-   on every idle period would churn for no memory win. *)
-let train_release_capacity = 1024
-
-let train_drain t (ex : exec) id p ~until =
+let train_drain t id p ~until =
   let pt = port t id p in
   pt.tr_live <- false;
   let batch = ref 0 in
@@ -907,24 +770,25 @@ let train_drain t (ex : exec) id p ~until =
     let packet = Vec.get pt.tr_pkt h in
     pt.tr_head <- h + 1;
     incr batch;
-    deliver t ex pt.peer pt.peer_port packet;
+    deliver t pt.peer pt.peer_port packet;
     if pt.tr_head >= Vec.length pt.tr_time then continue := false
     else begin
       let nt = Vec.get pt.tr_time pt.tr_head in
       let ns = Vec.get pt.tr_seq pt.tr_head in
-      if nt <= until && Eventq.precedes_head ex.xq ~time:nt ~seq:ns then begin
-        ex.xclk.(0) <- nt;
-        ex.x_events <- ex.x_events + 1
+      if nt <= until && Eventq.precedes_head t.events ~time:nt ~seq:ns then begin
+        t.clk.(0) <- nt;
+        t.events_processed <- t.events_processed + 1
       end
       else begin
         pt.tr_live <- true;
-        Eventq.schedule_pre ex.xq ~time:nt ~seq:ns pt.tr_ev;
+        Eventq.schedule_pre t.events ~time:nt ~seq:ns pt.tr_ev;
         continue := false
       end
     end
   done;
   (let b = !batch in
-   if b < Array.length ex.x_batch then ex.x_batch.(b) <- ex.x_batch.(b) + 1
+   if b < Array.length t.batch_counts then
+     t.batch_counts.(b) <- t.batch_counts.(b) + 1
    else Obs.observe h_train_batch (float_of_int b));
   if pt.tr_head >= Vec.length pt.tr_time then begin
     Vec.clear pt.tr_time;
@@ -951,22 +815,22 @@ let train_drain t (ex : exec) id p ~until =
     pt.tr_head <- 0
   end
 
-let handle t (ex : exec) = function
-  | Arrive { node = id; port = p; packet } -> deliver t ex id p packet
+let handle t = function
+  | Arrive { node = id; port = p; packet } -> deliver t id p packet
   | Train _ -> assert false (* dispatched by the run loop, needs [until] *)
   | Start_flow flow -> (
     let frec = Vec.get t.flows flow in
     let h = host_exn t frec.src_host in
     match slot h.senders flow with
-    | Some s -> pump t ex frec.src_host s
+    | Some s -> pump t frec.src_host s
     | None -> (
       match slot h.udp_tx flow with
-      | Some u -> emit_burst t ex frec.src_host u
+      | Some u -> emit_burst t frec.src_host u
       | None -> ()))
   | Emit { flow } -> (
     let frec = Vec.get t.flows flow in
     match slot (host_exn t frec.src_host).udp_tx flow with
-    | Some u -> emit_burst t ex frec.src_host u
+    | Some u -> emit_burst t frec.src_host u
     | None -> ())
   | Timeout { host; flow; gen } -> (
     match slot (host_exn t host).senders flow with
@@ -977,370 +841,47 @@ let handle t (ex : exec) = function
       if s.frec.finish = None then begin
         let rtx = Tcp.Sender.on_timeout s.tcp ~gen in
         if rtx <> [] then begin
-          List.iter (send_segment t ex host s) rtx;
-          arm_timer ex host s
+          List.iter (send_segment t host s) rtx;
+          arm_timer t host s
         end
         else if
           Tcp.Sender.timer_needed s.tcp
-          && s.t_deadline >= ex.xclk.(0)
+          && s.t_deadline >= t.clk.(0)
           && s.t_deadline < Float.infinity
           && s.t_min > s.t_deadline
         then begin
           (* stale early fire: keep the logical deadline covered *)
           s.t_min <- s.t_deadline;
-          Eventq.schedule ex.xq ~time:s.t_deadline
+          Eventq.schedule t.events ~time:s.t_deadline
             (Timeout { host; flow; gen = s.t_gen })
         end
       end)
   | Daemon_tick ->
-    (* serial path only: a sharded run intercepts the tick in its
-       window loop and runs it at the barrier *)
-    daemon_tick t ~now:ex.xclk.(0);
+    daemon_tick t;
     sample_queue_health t;
-    if not (Eventq.is_empty ex.xq) then begin
-      Eventq.schedule ex.xq ~time:(ex.xclk.(0) +. t.cfg.daemon_period) Daemon_tick
+    if not (Eventq.is_empty t.events) then begin
+      Eventq.schedule t.events ~time:(t.clk.(0) +. t.cfg.daemon_period) Daemon_tick
     end
 
-let run_serial ?(until = infinity) t =
-  let ex = t.execs.(0) in
+let run ?(until = infinity) t =
   if not t.daemon_scheduled then begin
     t.daemon_scheduled <- true;
-    Eventq.schedule ex.xq ~time:t.cfg.daemon_period Daemon_tick
+    Eventq.schedule t.events ~time:t.cfg.daemon_period Daemon_tick
   end;
   let rec loop () =
-    match Eventq.pop_before ex.xq ~until with
+    match Eventq.pop_before t.events ~until with
     | None -> ()
     | Some ev ->
-      (* the pop already advanced [ex.xclk.(0)] — it is the queue's
+      (* the pop already advanced [t.clk.(0)] — it is the queue's
          time cell *)
-      ex.x_events <- ex.x_events + 1;
+      t.events_processed <- t.events_processed + 1;
       (match ev with
-      | Train { node; port } -> train_drain t ex node port ~until
-      | ev -> handle t ex ev);
+      | Train { node; port } -> train_drain t node port ~until
+      | ev -> handle t ev);
       loop ()
   in
   loop ();
   sample_queue_health t
-
-(* ------------------------------------------------------------------ *)
-(* Sharded execution: conservative time windows over per-domain event
-   loops.  Every shard simulates [t, t + lookahead) against only its
-   own state; boundary packets cross through the mailboxes at window
-   barriers; daemon ticks are barrier markers present in every shard's
-   queue, so their (time, seq) order against ordinary events is exactly
-   the serial engine's. *)
-
-let set_shards t assign =
-  if t.daemon_scheduled || t.sharded then
-    invalid_arg "Packetsim.set_shards: must be called before the first run";
-  let n = Vec.length t.nodes in
-  if Array.length assign <> n then
-    invalid_arg "Packetsim.set_shards: need exactly one shard id per node";
-  let ns = ref 0 in
-  Array.iter
-    (fun s ->
-      if s < 0 then invalid_arg "Packetsim.set_shards: negative shard id";
-      if s + 1 > !ns then ns := s + 1)
-    assign;
-  (* cut size and lookahead over the concrete node graph: the window
-     length is the smallest latency a boundary packet must cross *)
-  let cut = ref 0 and min_lat = ref infinity in
-  for id = 0 to n - 1 do
-    Vec.iter
-      (fun p ->
-        if id < p.peer && assign.(id) <> assign.(p.peer) then begin
-          incr cut;
-          if p.link.delay < !min_lat then min_lat := p.link.delay
-        end)
-      (node t id).ports
-  done;
-  if !ns > 1 && !cut > 0 && not (!min_lat > 0.) then
-    invalid_arg "Packetsim.set_shards: zero-latency cross-shard link leaves no lookahead";
-  t.shard_of <- assign;
-  t.lookahead <- !min_lat;
-  t.sh_cut_links <- !cut;
-  Obs.set_gauge g_shard_domains (float_of_int (Stdlib.max 1 !ns));
-  Obs.set_gauge g_shard_cut (float_of_int !cut);
-  Obs.set_gauge g_shard_lookahead !min_lat
-
-let auto_shards t ~domains =
-  if domains < 1 then invalid_arg "Packetsim.auto_shards: domains must be >= 1";
-  let n = Vec.length t.nodes in
-  if n = 0 then invalid_arg "Packetsim.auto_shards: empty network";
-  (* Quotient the node graph by AS — routers by as_id, hosts adopting
-     the AS of the router behind port 0 — then hand the quotient to the
-     min-cut-ish partitioner with router counts as balance weights.
-     Keeping whole ASes together means host links and iBGP meshes never
-     cross shards; only inter-AS links (the high-latency ones) can be
-     cut. *)
-  let gid = Hashtbl.create 64 in
-  let groups = ref 0 in
-  let group_of_as a =
-    match Hashtbl.find_opt gid a with
-    | Some g -> g
-    | None ->
-      let g = !groups in
-      incr groups;
-      Hashtbl.add gid a g;
-      g
-  in
-  let group = Array.make n (-1) in
-  for id = 0 to n - 1 do
-    match (node t id).kind with
-    | Router r -> group.(id) <- group_of_as r.as_id
-    | Host _ -> ()
-  done;
-  for id = 0 to n - 1 do
-    if group.(id) < 0 then begin
-      let nd = node t id in
-      group.(id) <-
-        (if Vec.length nd.ports > 0 then begin
-           let peer = (Vec.get nd.ports 0).peer in
-           if group.(peer) >= 0 then group.(peer) else 0
-         end
-         else 0)
-    end
-  done;
-  let ng = Stdlib.max 1 !groups in
-  let weights = Array.make ng 0 in
-  for id = 0 to n - 1 do
-    match (node t id).kind with
-    | Router _ -> weights.(group.(id)) <- weights.(group.(id)) + 1
-    | Host _ -> ()
-  done;
-  let etbl = Hashtbl.create 256 in
-  for id = 0 to n - 1 do
-    Vec.iter
-      (fun p ->
-        if id < p.peer then begin
-          let gu = group.(id) and gv = group.(p.peer) in
-          if gu <> gv then begin
-            let key = if gu < gv then (gu, gv) else (gv, gu) in
-            match Hashtbl.find_opt etbl key with
-            | Some l when l <= p.link.delay -> ()
-            | _ -> Hashtbl.replace etbl key p.link.delay
-          end
-        end)
-      (node t id).ports
-  done;
-  let edges =
-    (* (u, v) keys are unique in etbl, so the pair alone orders fully *)
-    Hashtbl.fold (fun (u, v) l acc -> (u, v, l) :: acc) etbl []
-    |> List.sort (fun (u1, v1, _) (u2, v2, _) ->
-           match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c)
-    |> Array.of_list
-  in
-  let assign = Mifo_topology.Partition.partition ~parts:domains ~weights ~edges in
-  Mifo_topology.Partition.report
-    (Mifo_topology.Partition.stats ~weights ~edges ~assign);
-  set_shards t (Array.init n (fun id -> assign.(group.(id))))
-
-(* Move the setup-time events (Start_flows scheduled by add_flow before
-   the first run) from the singleton queue into per-shard queues.
-   Draining in (time, seq) order preserves each shard's relative order,
-   so the per-shard seq order is the serial seq order restricted to
-   that shard; the barrier tick scheduled after the drain gets a later
-   seq than every pre-run event — exactly the serial run loop's
-   ordering. *)
-let activate_shards t =
-  if Array.length t.shard_of = 0 then auto_shards t ~domains:t.cfg.domains;
-  let ns = 1 + Array.fold_left Stdlib.max 0 t.shard_of in
-  if ns > 1 then begin
-    let old = t.execs.(0) in
-    let execs = Array.init ns (make_exec ~engine:t.cfg.eventq_engine) in
-    let continue = ref true in
-    while !continue do
-      match Eventq.pop_before old.xq ~until:infinity with
-      | None -> continue := false
-      | Some ev ->
-        let time = Eventq.last_time old.xq in
-        let home =
-          match ev with
-          | Start_flow f | Emit { flow = f } ->
-            t.shard_of.((Vec.get t.flows f).src_host)
-          | Timeout { host; _ } -> t.shard_of.(host)
-          | Arrive { node; _ } | Train { node; _ } -> t.shard_of.(node)
-          | Daemon_tick -> 0 (* cannot exist before the first run *)
-        in
-        Eventq.schedule execs.(home).xq ~time ev
-    done;
-    t.execs <- execs;
-    t.sharded <- true;
-    t.mboxes <- Array.init (ns * ns) (fun _ -> make_mailbox ());
-    t.daemon_scheduled <- true;
-    t.sh_next_tick <- t.cfg.daemon_period;
-    Array.iter (fun ex -> Eventq.schedule ex.xq ~time:t.sh_next_tick Daemon_tick) execs
-  end
-
-(* Barrier: schedule every parked boundary packet into its destination
-   shard's queue in (arrival time, source seq, source shard) order —
-   the documented deterministic merge.  Scheduling in that order makes
-   the destination seqs respect it, so two boundary packets tie-break
-   exactly as the rule says. *)
-let drain_mailboxes t =
-  let ns = Array.length t.execs in
-  for d = 0 to ns - 1 do
-    let total = ref 0 in
-    for s = 0 to ns - 1 do
-      total := !total + Vec.length t.mboxes.((s * ns) + d).mb_time
-    done;
-    if !total > 0 then begin
-      let keys = Array.make !total (0., 0, 0, 0) in
-      let k = ref 0 in
-      for s = 0 to ns - 1 do
-        let mb = t.mboxes.((s * ns) + d) in
-        for i = 0 to Vec.length mb.mb_time - 1 do
-          keys.(!k) <- (Vec.get mb.mb_time i, Vec.get mb.mb_seq i, s, i);
-          incr k
-        done
-      done;
-      Array.sort
-        (fun (ta, sa, pa, _) (tb, sb, pb, _) ->
-          let c = Float.compare ta tb in
-          if c <> 0 then c
-          else
-            let c = Int.compare sa sb in
-            if c <> 0 then c else Int.compare pa pb)
-        keys;
-      let xq = t.execs.(d).xq in
-      Array.iter
-        (fun (time, _, s, i) ->
-          let mb = t.mboxes.((s * ns) + d) in
-          Eventq.schedule xq ~time
-            (Arrive
-               {
-                 node = Vec.get mb.mb_node i;
-                 port = Vec.get mb.mb_port i;
-                 packet = Vec.get mb.mb_pkt i;
-               }))
-        keys;
-      for s = 0 to ns - 1 do
-        let mb = t.mboxes.((s * ns) + d) in
-        Vec.clear mb.mb_time;
-        Vec.clear mb.mb_seq;
-        Vec.clear mb.mb_node;
-        Vec.clear mb.mb_port;
-        Vec.clear mb.mb_pkt
-      done
-    end
-  done
-
-let fire_completions t =
-  match t.on_complete with
-  | None -> ()
-  | Some f ->
-    let total = Array.fold_left (fun a ex -> a + Vec.length ex.x_done) 0 t.execs in
-    if total > 0 then begin
-      let keys = Array.make total (0., 0) in
-      let k = ref 0 in
-      Array.iter
-        (fun ex ->
-          for i = 0 to Vec.length ex.x_done - 1 do
-            keys.(!k) <- (Vec.get ex.x_done_t i, Vec.get ex.x_done i);
-            incr k
-          done;
-          Vec.clear ex.x_done_t;
-          Vec.clear ex.x_done)
-        t.execs;
-      Array.sort
-        (fun (ta, fa) (tb, fb) ->
-          let c = Float.compare ta tb in
-          if c <> 0 then c else Int.compare fa fb)
-        keys;
-      Array.iter (fun (_, flow) -> f flow) keys
-    end
-
-(* The coordinator's daemon tick: all shards just popped their barrier
-   marker at [now].  Counts as one event, like the serial tick pop. *)
-let do_tick t ~now =
-  Array.iter
-    (fun ex ->
-      ex.x_hit_tick <- false;
-      ex.xclk.(0) <- now)
-    t.execs;
-  daemon_tick t ~now;
-  sample_queue_health t;
-  t.sh_ticks <- t.sh_ticks + 1;
-  if Array.exists (fun ex -> not (Eventq.is_empty ex.xq)) t.execs then begin
-    t.sh_next_tick <- now +. t.cfg.daemon_period;
-    Array.iter (fun ex -> Eventq.schedule ex.xq ~time:t.sh_next_tick Daemon_tick) t.execs
-  end
-  else t.sh_next_tick <- infinity
-
-(* One shard's slice of a window: the serial dispatch loop bounded at
-   the window end, stopping early (without counting) when it pops the
-   tick barrier marker. *)
-let shard_window t (ex : exec) ~until =
-  let continue = ref true in
-  while !continue do
-    match Eventq.pop_before ex.xq ~until with
-    | None -> continue := false
-    | Some (Train { node; port }) ->
-      ex.x_events <- ex.x_events + 1;
-      train_drain t ex node port ~until
-    | Some Daemon_tick -> ex.x_hit_tick <- true; continue := false
-    | Some ev ->
-      ex.x_events <- ex.x_events + 1;
-      handle t ex ev
-  done
-
-let run_sharded t ~until =
-  let execs = t.execs in
-  let ns = Array.length execs in
-  let pool = Mifo_util.Parallel.get_default () in
-  let continue = ref true in
-  while !continue do
-    (* mailboxes are empty here (drained at every barrier), so the
-       earliest pending event anywhere is the next window's start *)
-    let next =
-      Array.fold_left
-        (fun acc ex ->
-          match Eventq.peek_time ex.xq with Some tm when tm < acc -> tm | _ -> acc)
-        infinity execs
-    in
-    if next = infinity || next > until then continue := false
-    else begin
-      let tick_at = t.sh_next_tick in
-      let wend = Float.min (Float.min (next +. t.lookahead) tick_at) until in
-      t.sh_windows <- t.sh_windows + 1;
-      Mifo_util.Parallel.fork_join pool ns (fun s ->
-          shard_window t execs.(s) ~until:wend);
-      drain_mailboxes t;
-      fire_completions t;
-      if Array.exists (fun ex -> ex.x_hit_tick) execs then do_tick t ~now:tick_at
-    end
-  done;
-  (* settle every shard clock at the global frontier and take the same
-     end-of-run health sample the serial loop takes *)
-  let tmax = Array.fold_left (fun a ex -> Float.max a ex.xclk.(0)) 0. execs in
-  Array.iter (fun ex -> ex.xclk.(0) <- tmax) execs;
-  sample_queue_health t
-
-let run ?(until = infinity) t =
-  if
-    (not t.sharded)
-    && (not t.daemon_scheduled)
-    && Option.is_none t.tracer
-    && (Array.length t.shard_of > 0 || t.cfg.domains > 1)
-  then activate_shards t;
-  if t.sharded then run_sharded t ~until else run_serial ~until t
-
-type shard_stats = {
-  shards : int;
-  cut_links : int;
-  lookahead : float;
-  windows : int;
-  barrier_ticks : int;
-}
-
-let shard_stats t =
-  {
-    shards = Array.length t.execs;
-    cut_links = t.sh_cut_links;
-    lookahead = (if t.sharded then t.lookahead else 0.);
-    windows = t.sh_windows;
-    barrier_ticks = t.sh_ticks;
-  }
 
 type flow_result = { flow : int; start : float; finish : float option; bytes : int }
 
@@ -1351,41 +892,20 @@ let flow_results t =
     (Vec.to_array t.flows)
 
 let throughput_series t =
-  (* Bucket bits are exact int sums per shard, so adding across shards
-     is order-independent and a sharded run serializes bit-identically
-     to the serial oracle. *)
-  let len = Array.fold_left (fun a ex -> Stdlib.max a (Vec.length ex.x_goodput)) 0 t.execs in
-  Array.init len (fun i ->
-      let bits =
-        Array.fold_left
-          (fun a ex -> if i < Vec.length ex.x_goodput then a + Vec.get ex.x_goodput i else a)
-          0 t.execs
-      in
-      ( float_of_int i *. t.cfg.series_interval,
-        float_of_int bits /. t.cfg.series_interval ))
+  Array.mapi
+    (fun i bits -> (float_of_int i *. t.cfg.series_interval, bits /. t.cfg.series_interval))
+    (Vec.to_array t.goodput_buckets)
 
 let counters t =
-  Array.fold_left
-    (fun acc ex ->
-      {
-        delivered_packets = acc.delivered_packets + ex.x_delivered;
-        dropped_queue = acc.dropped_queue + ex.x_drop_queue;
-        dropped_ttl = acc.dropped_ttl + ex.x_drop_ttl;
-        dropped_valley = acc.dropped_valley + ex.x_drop_valley;
-        dropped_no_route = acc.dropped_no_route + ex.x_drop_no_route;
-        encapsulated = acc.encapsulated + ex.x_encapsulated;
-        deflected = acc.deflected + ex.x_deflected;
-      })
-    {
-      delivered_packets = 0;
-      dropped_queue = 0;
-      dropped_ttl = 0;
-      dropped_valley = 0;
-      dropped_no_route = 0;
-      encapsulated = 0;
-      deflected = 0;
-    }
-    t.execs
+  {
+    delivered_packets = t.delivered_packets;
+    dropped_queue = t.dropped_queue;
+    dropped_ttl = t.dropped_ttl;
+    dropped_valley = t.dropped_valley;
+    dropped_no_route = t.dropped_no_route;
+    encapsulated = t.encapsulated;
+    deflected = t.deflected;
+  }
 
 let path_switches t =
   let totals = Vec.create () in

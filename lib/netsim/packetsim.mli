@@ -36,14 +36,6 @@ type config = {
       (** batch back-to-back departures on one link into a single
           queue entry (default [true]); behavior-neutral, see
           {!Eventq.alloc_seq} *)
-  domains : int;
-      (** shard the network across this many event loops run on the
-          {!Mifo_util.Parallel} pool (default [1] = the serial oracle).
-          With [domains > 1] the first {!run} partitions the network by
-          AS ({!auto_shards}) unless {!set_shards} installed an explicit
-          assignment; results are bit-identical to [domains = 1].
-          Mirrors the [MIFO_SIM_DOMAINS] environment variable in the
-          CLI. *)
 }
 
 val default_config : config
@@ -109,48 +101,7 @@ val add_udp_flow :
 
 val run : ?until:float -> t -> unit
 (** Process events until the queue drains or simulated [until]
-    (default: drain).
-
-    When [config.domains > 1] (or {!set_shards} was called), the first
-    [run] activates sharded execution: one event loop per shard,
-    advanced in conservative time windows of length [lookahead] (the
-    minimum latency over cut links) on the {!Mifo_util.Parallel} pool,
-    with boundary packets exchanged through per-shard-pair mailboxes
-    drained at window barriers in (arrival time, source seq, source
-    shard) order.  The merged run is bit-identical to the serial
-    engine: same {!counters}, {!flow_results}, {!throughput_series} and
-    {!events_processed}.  Two sharded-mode caveats: completion hooks
-    fire at window barriers (in (finish time, flow id) order) rather
-    than mid-window, and an installed tracer forces the serial path —
-    per-hop callbacks into user code cannot run concurrently. *)
-
-(** {1 Sharding} *)
-
-val set_shards : t -> int array -> unit
-(** [set_shards t assign] pins each node to a shard (one entry per
-    node, ids [0..]) before the first {!run}; overrides
-    {!auto_shards}.  @raise Invalid_argument after the first run, on a
-    length mismatch, a negative id, or a zero-latency cross-shard link
-    (which would leave no lookahead window). *)
-
-val auto_shards : t -> domains:int -> unit
-(** Partition the network into [domains] shards along AS boundaries:
-    the AS quotient graph (router counts as weights, minimum inter-AS
-    link latency as edge latencies) is split by
-    {!Mifo_topology.Partition.partition}, so iBGP meshes and host links
-    never cross shards and only high-latency inter-AS links are cut.
-    Called automatically by the first {!run} when [config.domains > 1]
-    and no explicit assignment exists. *)
-
-type shard_stats = {
-  shards : int;  (** event loops actually running (1 = serial) *)
-  cut_links : int;  (** full-duplex links crossing shard boundaries *)
-  lookahead : float;  (** conservative window length, seconds *)
-  windows : int;  (** fork/join windows executed so far *)
-  barrier_ticks : int;  (** daemon ticks run at window barriers *)
-}
-
-val shard_stats : t -> shard_stats
+    (default: drain). *)
 
 val now : t -> float
 

@@ -17,6 +17,8 @@ let parse_string text =
       id
   in
   let edges = ref [] in
+  (* unordered AS-number pair -> the line that first linked it *)
+  let first_line = Hashtbl.create 1024 in
   let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i line ->
@@ -37,6 +39,14 @@ let parse_string text =
             | 0 -> As_graph.Peer_peer
             | other -> fail lineno (Printf.sprintf "unknown relationship %d" other)
           in
+          if a = b then fail lineno (Printf.sprintf "self-loop on AS%d" a);
+          let key = if a < b then (a, b) else (b, a) in
+          (match Hashtbl.find_opt first_line key with
+           | Some first ->
+             fail lineno
+               (Printf.sprintf "duplicate link between AS%d and AS%d (first on line %d)" a b
+                  first)
+           | None -> Hashtbl.add first_line key lineno);
           (* explicit lets: OCaml evaluates tuple components right to
              left, and we want ids assigned in reading order *)
           let ia = intern a in
@@ -49,9 +59,8 @@ let parse_string text =
   let n = Array.length as_number in
   if n = 0 then fail 0 "no links in input";
   let graph =
-    try As_graph.create ~n ~edges:!edges with
-    | As_graph.Duplicate_edge (u, v) ->
-      fail 0 (Printf.sprintf "duplicate link between AS%d and AS%d" as_number.(u) as_number.(v))
+    try As_graph.create ~n ~edges:!edges
+    with As_graph.Cyclic_provider_graph -> fail 0 "provider-customer links form a cycle"
   in
   { graph; as_number }
 

@@ -15,7 +15,10 @@ type loaded = {
 }
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message.  A self-loop or a link listed
+    twice is reported on its own line; errors about the input as a whole
+    (no links, a provider-customer cycle) carry line 0.  [parse_string]
+    raises no other exception. *)
 
 val parse_string : string -> loaded
 val load : string -> loaded

@@ -431,7 +431,10 @@ let snapshot_json () =
       in
       let gauges =
         sorted_by_name registry.gauges
-        |> List.map (fun (name, g) -> (name, Json.Num (Atomic.get g.g_cell)))
+        |> List.filter_map (fun (name, g) ->
+               let v = Atomic.get g.g_cell in
+               (* never set: the layer did not run, so it has no reading *)
+               if Float.is_nan v then None else Some (name, Json.Num v))
       in
       let histograms =
         sorted_by_name registry.histograms

@@ -21,14 +21,16 @@
 
     {v
     { "counters":   { "<name>": <int>, ... },
-      "gauges":     { "<name>": <float|null>, ... },
+      "gauges":     { "<name>": <float|null>, ... },   (set gauges only)
       "histograms": { "<name>": { "bounds": [<float>...],
                                   "counts": [<int>...],   (length = bounds+1)
                                   "sum": <float>, "count": <int> }, ... },
       "trace":      { "capacity": <int>, "recorded": <int>, "kept": <int> } }
     v}
 
-    Non-finite gauge values serialise as [null].  The trace itself is
+    A gauge that was never set (still [nan]) is left out, so a snapshot
+    lists readings only for the layers that ran; any other non-finite
+    gauge value serialises as [null].  The trace itself is
     written separately as JSONL, one event per line:
 
     {v {"seq":<int>,"t":<float>,"event":"<name>","<field>":<value>,...} v}
@@ -60,7 +62,7 @@ val counter_value : string -> int
 
 val gauge : string -> gauge
 (** [gauge name] returns the gauge registered under [name], creating it
-    (at [nan], serialised as [null]) on first use. *)
+    (unset, at [nan], and absent from snapshots) on first use. *)
 
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit

@@ -127,21 +127,6 @@ let exec_batch pool count make_task =
     | None -> ()
   end
 
-(* One task per index, no chunking: the fork/join shape a windowed
-   simulation needs — [n] long-lived shard steps that must all finish
-   before the caller may exchange boundary state.  [parallel_for] would
-   fold several shards into one chunk and serialize them behind each
-   other; here every index is its own task, so [n <= jobs] shards run
-   genuinely concurrently and the join is the barrier. *)
-let fork_join pool n f =
-  if n < 0 then invalid_arg "Parallel.fork_join: negative task count";
-  if n > 0 then
-    if pool.n_jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else exec_batch pool n f
-
 let parallel_for pool ~lo ~hi f =
   let n = hi - lo in
   if n > 0 then

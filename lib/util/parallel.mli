@@ -49,18 +49,6 @@ val set_default_jobs : int -> unit
     @raise Invalid_argument when [jobs <= 0] — an explicit error beats
     silently clamping a flag the user typed. *)
 
-val fork_join : pool -> int -> (int -> unit) -> unit
-(** [fork_join pool n f] runs [f 0 .. f (n-1)] as [n] separate tasks —
-    one per index, no chunking — and returns only when all have
-    finished: a fork/join barrier.  This is the primitive behind
-    windowed simulation ({!Mifo_netsim.Packetsim} shards; Flowsim can
-    reuse it the same way): each index advances one shard through a
-    time window, and the join is the synchronization point at which
-    boundary state may be exchanged.  With [jobs = 1] the tasks run
-    serially in index order on the caller.  Exception behaviour as in
-    {!parallel_for}.
-    @raise Invalid_argument on a negative [n]. *)
-
 val parallel_for : pool -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi f] runs [f i] for every [lo <= i < hi],
     split into contiguous chunks across the pool.  Returns when every

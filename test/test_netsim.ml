@@ -1275,68 +1275,20 @@ let test_packetsim_ranked_chooser () =
       | None -> Alcotest.fail "transfer did not complete")
     (Packetsim.flow_results sim)
 
-(* ---------- Sharded packetsim ---------- *)
+(* ---------- Packetsim engines ---------- *)
 
-(* The deterministic two-shard split of the line network: hosts ride
-   with their routers, the single eBGP link is the cut. *)
-let test_packetsim_sharded_line () =
-  Mifo_util.Parallel.set_default_jobs 2;
-  let serial =
-    let sim, h1, h2 = line_network ~rate:1e8 () in
-    let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:500_000 ~start:0. in
-    Packetsim.run sim;
-    pkt_fingerprint sim
-  in
-  let sim, h1, h2 = line_network ~rate:1e8 () in
-  (* node order in line_network: h1 h2 r1 r2 *)
-  Packetsim.set_shards sim [| 0; 1; 0; 1 |];
-  let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:500_000 ~start:0. in
-  Packetsim.run sim;
-  Alcotest.(check bool) "sharded bit-identical to serial" true
-    (pkt_fingerprint sim = serial);
-  let st = Packetsim.shard_stats sim in
-  Alcotest.(check int) "two shards" 2 st.Packetsim.shards;
-  Alcotest.(check int) "one cut link" 1 st.Packetsim.cut_links;
-  check_float "lookahead = link delay" 50e-6 st.Packetsim.lookahead;
-  Alcotest.(check bool) "windows ran" true (st.Packetsim.windows > 1);
-  Alcotest.(check bool) "barrier ticks ran" true (st.Packetsim.barrier_ticks > 0)
-
-let test_packetsim_shard_validation () =
-  let sim, _, _ = line_network () in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Packetsim.set_shards: need exactly one shard id per node")
-    (fun () -> Packetsim.set_shards sim [| 0; 1 |]);
-  Alcotest.check_raises "zero-latency cut"
-    (Invalid_argument
-       "Packetsim.set_shards: zero-latency cross-shard link leaves no lookahead")
-    (fun () ->
-      let sim = Packetsim.create () in
-      let r1 = Packetsim.add_router sim ~as_id:1 in
-      let r2 = Packetsim.add_router sim ~as_id:2 in
-      ignore
-        (Packetsim.connect sim ~a:r1 ~b:r2
-           ~kind_ab:(Engine.Ebgp { neighbor_as = 2; rel = Relationship.Peer })
-           ~kind_ba:(Engine.Ebgp { neighbor_as = 1; rel = Relationship.Peer })
-           ~rate:1e9 ~delay:0. ());
-      Packetsim.set_shards sim [| 0; 1 |]);
-  let sim2, h1, h2 = line_network () in
-  Packetsim.set_shards sim2 [| 0; 1; 0; 1 |];
-  let _ = Packetsim.add_flow sim2 ~src:h1 ~dst:h2 ~bytes:8_000 ~start:0. in
-  Packetsim.run sim2;
-  Alcotest.check_raises "reassignment after run"
-    (Invalid_argument "Packetsim.set_shards: must be called before the first run")
-    (fun () -> Packetsim.set_shards sim2 [| 0; 1; 0; 1 |])
-
-(* Mailbox drain order on a crafted exact-float tie.  Two source shards
-   each deliver one UDP segment to the same destination router at the
-   same instant (symmetric links, symmetric sources).  The shard seqs
-   are symmetric too, so the drain rule's last key — source shard id —
-   decides which packet is scheduled first and wins the one-packet
-   bottleneck queue toward the sink; the other is tail-dropped.  Serial
-   agrees: flow A was added first, so its segment transmits first. *)
-let test_packetsim_mailbox_tie_order () =
-  let run ~sharded =
-    let sim = Packetsim.create () in
+(* A same-instant tie.  Two sources each deliver one UDP segment to the
+   same router at the same instant (symmetric links, symmetric sources),
+   and the link toward the sink has room for one segment.  Flow A was
+   added first, so its segment is scheduled first and wins the queue;
+   B's is tail-dropped.  Every engine and train setting must break the
+   tie the same way. *)
+let test_packetsim_same_instant_tie () =
+  let run ~engine ~trains =
+    let config =
+      { Packetsim.default_config with Packetsim.eventq_engine = engine; packet_trains = trains }
+    in
+    let sim = Packetsim.create ~config () in
     let ha = Packetsim.add_host sim ~addr:(Prefix.host_of_as 1 1) in
     let hb = Packetsim.add_host sim ~addr:(Prefix.host_of_as 2 1) in
     let hc = Packetsim.add_host sim ~addr:(Prefix.host_of_as 3 1) in
@@ -1367,7 +1319,6 @@ let test_packetsim_mailbox_tie_order () =
     Fib.insert (Packetsim.fib sim rc) (Prefix.of_as 3) ~out_port:rc_h ();
     Fib.insert (Packetsim.fib sim rc) (Prefix.of_as 1) ~out_port:rc_ra ();
     Fib.insert (Packetsim.fib sim rc) (Prefix.of_as 2) ~out_port:rc_rb ();
-    if sharded then Packetsim.set_shards sim [| 1; 2; 0; 1; 2; 0 |];
     let fa = Packetsim.add_udp_flow sim ~src:ha ~dst:hc ~bytes:1_000 ~start:0. () in
     let fb = Packetsim.add_udp_flow sim ~src:hb ~dst:hc ~bytes:1_000 ~start:0. () in
     Packetsim.run sim;
@@ -1378,19 +1329,22 @@ let test_packetsim_mailbox_tie_order () =
       c.Packetsim.delivered_packets,
       c.Packetsim.dropped_queue )
   in
-  let serial = run ~sharded:false in
-  let sharded = run ~sharded:true in
-  Alcotest.(check bool) "sharded tie resolves like serial" true (serial = sharded);
-  let a_won, b_won, delivered, dropped = sharded in
-  Alcotest.(check bool) "lower source shard wins the tie" true a_won;
-  Alcotest.(check bool) "higher source shard loses the queue race" false b_won;
-  Alcotest.(check int) "one segment through" 1 delivered;
-  Alcotest.(check int) "one segment tail-dropped" 1 dropped
+  List.iter
+    (fun (engine, trains) ->
+      let a_won, b_won, delivered, dropped = run ~engine ~trains in
+      let what msg =
+        Printf.sprintf "%s (%s, trains=%b)" msg (Eventq.engine_name engine) trains
+      in
+      Alcotest.(check bool) (what "first-added flow wins the tie") true a_won;
+      Alcotest.(check bool) (what "second flow loses the queue race") false b_won;
+      Alcotest.(check int) (what "one segment through") 1 delivered;
+      Alcotest.(check int) (what "one segment tail-dropped") 1 dropped)
+    [ (Eventq.Heap, false); (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ]
 
-(* Random dumbbells for the 2x2x2 identity gate: n_l + n_r stub ASes
+(* Random dumbbells for the engine identity gate: n_l + n_r stub ASes
    (one router + one host each) joined through two core routers over a
-   narrow bottleneck.  Per-stub delay jitter keeps cross-shard arrivals
-   off exact float ties; the tiny core rate forces queue drops. *)
+   narrow bottleneck.  Per-stub delay jitter spreads the arrivals over
+   distinct times; the tiny core rate forces queue drops. *)
 let dumbbell_network ?config ~n_l ~n_r () =
   let sim = Packetsim.create ?config () in
   let local = Engine.Local in
@@ -1446,7 +1400,7 @@ let dumbbell_network ?config ~n_l ~n_r () =
   let hosts arr = Array.map (fun (_, h, _, _, _) -> h) arr in
   (sim, hosts left, hosts right)
 
-let shard_obs_keys =
+let dumbbell_obs_keys =
   [
     "packetsim.delivered";
     "packetsim.dropped.queue";
@@ -1457,15 +1411,14 @@ let shard_obs_keys =
     "daemon.buckets_reset";
   ]
 
-(* One run of a generated workload under (domains, engine, trains);
-   returns the full observable fingerprint including Obs counter deltas. *)
-let run_dumbbell ~domains ~engine ~trains (n_l, n_r, flow_specs) =
+(* One run of a generated workload under (engine, trains); returns the
+   full observable fingerprint including Obs counter deltas. *)
+let run_dumbbell ~engine ~trains (n_l, n_r, flow_specs) =
   let config =
     {
       Packetsim.default_config with
       Packetsim.eventq_engine = engine;
       packet_trains = trains;
-      domains;
       queue_bits = 100_000;
     }
   in
@@ -1481,48 +1434,35 @@ let run_dumbbell ~domains ~engine ~trains (n_l, n_r, flow_specs) =
       if udp then ignore (Packetsim.add_udp_flow sim ~src ~dst ~bytes ~start ())
       else ignore (Packetsim.add_flow sim ~src ~dst ~bytes ~start))
     flow_specs;
-  let obs0 = List.map Mifo_util.Obs.counter_value shard_obs_keys in
+  let obs0 = List.map Mifo_util.Obs.counter_value dumbbell_obs_keys in
   Packetsim.run ~until:30. sim;
   let obs_delta =
     List.map2
       (fun k v0 -> Mifo_util.Obs.counter_value k - v0)
-      shard_obs_keys obs0
+      dumbbell_obs_keys obs0
   in
   let series =
     Array.map (fun (_, v) -> Int64.bits_of_float v) (Packetsim.throughput_series sim)
   in
   (pkt_fingerprint sim, obs_delta, series, Packetsim.path_switches sim)
 
-(* The 2x2x2 gate: serial/sharded x heap/wheel x trains on/off, all
-   bit-identical (counters, finish times, event counts, goodput series,
-   Obs counters) to the serial heap no-trains oracle on random
-   dumbbells with drops and UDP blasts. *)
-let prop_packetsim_sharded_identical =
-  QCheck2.Test.make ~name:"packetsim: sharded x engine x trains bit-identical"
+(* The 2x2 gate: heap/wheel x trains on/off, all bit-identical
+   (counters, finish times, event counts, goodput series, Obs counters)
+   to the heap no-trains oracle on random dumbbells with drops and UDP
+   blasts. *)
+let prop_packetsim_engines_identical =
+  QCheck2.Test.make ~name:"packetsim: engine x trains bit-identical"
     ~count:6
     QCheck2.Gen.(
       triple (int_range 2 3) (int_range 2 3)
         (list_size (int_range 2 6)
            (tup6 bool (int_bound 3) (int_bound 3) (int_range 12 120)
               (int_bound 10) bool)))
-    (fun workload ->
-      Mifo_util.Parallel.set_default_jobs 2;
-      let n_l, n_r, specs = workload in
-      let w = (n_l, n_r, specs) in
-      let oracle = run_dumbbell ~domains:1 ~engine:Eventq.Heap ~trains:false w in
+    (fun w ->
+      let oracle = run_dumbbell ~engine:Eventq.Heap ~trains:false w in
       List.for_all
-        (fun (domains, engine, trains) ->
-          run_dumbbell ~domains ~engine ~trains w = oracle)
-        [
-          (1, Eventq.Heap, true);
-          (1, Eventq.Wheel, false);
-          (1, Eventq.Wheel, true);
-          (2, Eventq.Heap, false);
-          (2, Eventq.Heap, true);
-          (2, Eventq.Wheel, false);
-          (2, Eventq.Wheel, true);
-          (3, Eventq.Wheel, true);
-        ])
+        (fun (engine, trains) -> run_dumbbell ~engine ~trains w = oracle)
+        [ (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ])
 
 let () =
   Alcotest.run "mifo_netsim"
@@ -1612,14 +1552,10 @@ let () =
           Alcotest.test_case "ranked chooser drives epoch_ranked" `Quick
             test_packetsim_ranked_chooser;
         ] );
-      ( "packetsim_sharded",
+      ( "packetsim_engines",
         [
-          Alcotest.test_case "two-shard line bit-identical" `Quick
-            test_packetsim_sharded_line;
-          Alcotest.test_case "shard assignment validation" `Quick
-            test_packetsim_shard_validation;
-          Alcotest.test_case "mailbox drain order on an exact tie" `Quick
-            test_packetsim_mailbox_tie_order;
-          QCheck_alcotest.to_alcotest prop_packetsim_sharded_identical;
+          Alcotest.test_case "same-instant tie: first-added flow wins" `Quick
+            test_packetsim_same_instant_tie;
+          QCheck_alcotest.to_alcotest prop_packetsim_engines_identical;
         ] );
     ]

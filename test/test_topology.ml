@@ -269,7 +269,21 @@ let test_as_rel_bad_input () =
   Alcotest.(check bool) "bad relationship" true (raises_parse_error "1|2|7\n");
   Alcotest.(check bool) "bad AS number" true (raises_parse_error "x|2|0\n");
   Alcotest.(check bool) "bad format" true (raises_parse_error "1,2,0\n");
-  Alcotest.(check bool) "empty" true (raises_parse_error "# nothing\n")
+  Alcotest.(check bool) "empty" true (raises_parse_error "# nothing\n");
+  (* graph-level faults surface as Parse_error too, never as an
+     As_graph exception *)
+  let error_line text =
+    match As_rel_io.parse_string text with
+    | exception As_rel_io.Parse_error (line, _) -> Some line
+    | _ -> None
+  in
+  Alcotest.(check (option int)) "lone self-loop" (Some 1) (error_line "1|1|0\n");
+  Alcotest.(check (option int)) "self-loop on its line" (Some 2)
+    (error_line "1|2|0\n1|1|0\n");
+  Alcotest.(check (option int)) "duplicate on its own line" (Some 4)
+    (error_line "# header\n1|2|-1\n2|3|0\n2|1|0\n");
+  Alcotest.(check (option int)) "provider cycle" (Some 0)
+    (error_line "1|2|-1\n2|3|-1\n3|1|-1\n")
 
 let test_degree_distribution () =
   let t = Lazy.force generated in
@@ -294,87 +308,6 @@ let test_topo_stats () =
   Alcotest.(check int) "links" 4 s.Topo_stats.links;
   Alcotest.(check int) "max degree" 3 s.Topo_stats.max_degree;
   Alcotest.(check bool) "mean degree" true (abs_float (s.Topo_stats.mean_degree -. 2.0) < 1e-9)
-
-(* ---------- Partition ---------- *)
-
-module Partition = Mifo_topology.Partition
-
-(* Two 4-cliques of fast links joined by one slow bridge: the only
-   sensible 2-way split cuts exactly the bridge. *)
-let two_clique_edges () =
-  let fast = 1e-5 and slow = 1e-3 in
-  let clique base =
-    let acc = ref [] in
-    for u = 0 to 3 do
-      for v = u + 1 to 3 do
-        acc := (base + u, base + v, fast) :: !acc
-      done
-    done;
-    !acc
-  in
-  Array.of_list (((0, 4, slow) :: clique 0) @ clique 4)
-
-let test_partition_two_cliques () =
-  let edges = two_clique_edges () in
-  let weights = Array.make 8 1 in
-  let assign = Partition.partition ~parts:2 ~weights ~edges in
-  let st = Partition.stats ~weights ~edges ~assign in
-  Alcotest.(check int) "both parts used" 2 st.Partition.parts;
-  Alcotest.(check int) "only the bridge is cut" 1 st.Partition.cut_edges;
-  Alcotest.(check bool) "cut latency is the slow bridge" true
-    (abs_float (st.Partition.min_cut_latency -. 1e-3) < 1e-12);
-  Alcotest.(check int) "balanced heavy side" 4 st.Partition.heaviest;
-  Alcotest.(check int) "balanced light side" 4 st.Partition.lightest;
-  (* cliques stay whole *)
-  for u = 1 to 3 do
-    Alcotest.(check int) "left clique together" assign.(0) assign.(u);
-    Alcotest.(check int) "right clique together" assign.(4) assign.(4 + u)
-  done
-
-let test_partition_deterministic_and_balanced () =
-  let n = 60 in
-  (* ring with chords; weights 1..3 repeating *)
-  let edges =
-    Array.init (2 * n) (fun i ->
-        if i < n then (i, (i + 1) mod n, 1e-4 *. float_of_int (1 + (i mod 7)))
-        else
-          let u = i - n in
-          (u, (u + 13) mod n, 2e-3))
-  in
-  let weights = Array.init n (fun i -> 1 + (i mod 3)) in
-  let a1 = Partition.partition ~parts:4 ~weights ~edges in
-  let a2 = Partition.partition ~parts:4 ~weights ~edges in
-  Alcotest.(check bool) "deterministic" true (a1 = a2);
-  let st = Partition.stats ~weights ~edges ~assign:a1 in
-  Alcotest.(check int) "all parts non-empty" 4 st.Partition.parts;
-  let total = Array.fold_left ( + ) 0 weights in
-  let max_w = 3 in
-  Alcotest.(check bool) "no part above target + max weight" true
-    (st.Partition.heaviest <= ((total + 3) / 4) + max_w);
-  Alcotest.(check bool) "cut latency positive" true (st.Partition.min_cut_latency > 0.)
-
-let test_partition_degenerate () =
-  let weights = [| 2; 1; 5 |] in
-  let edges = [| (0, 1, 1e-3); (1, 2, 1e-3) |] in
-  Alcotest.(check (array int)) "parts=1 collapses" [| 0; 0; 0 |]
-    (Partition.partition ~parts:1 ~weights ~edges);
-  let spread = Partition.partition ~parts:3 ~weights ~edges in
-  Alcotest.(check (array int)) "n = parts spreads round-robin" [| 0; 1; 2 |] spread;
-  let wide = Partition.partition ~parts:5 ~weights ~edges in
-  Alcotest.(check bool) "n < parts keeps ids in range" true
-    (Array.for_all (fun p -> p >= 0 && p < 5) wide);
-  Alcotest.check_raises "parts < 1 rejected"
-    (Invalid_argument "Partition.partition: parts must be >= 1") (fun () ->
-      ignore (Partition.partition ~parts:0 ~weights ~edges));
-  Alcotest.check_raises "edge endpoint out of range"
-    (Invalid_argument "Partition.partition: edge endpoint out of range") (fun () ->
-      ignore (Partition.partition ~parts:2 ~weights ~edges:[| (0, 9, 1.) |]));
-  (* isolated nodes, no edges: still a valid balanced assignment *)
-  let lonely = Partition.partition ~parts:2 ~weights:(Array.make 10 1) ~edges:[||] in
-  let st = Partition.stats ~weights:(Array.make 10 1) ~edges:[||] ~assign:lonely in
-  Alcotest.(check int) "isolated: both parts used" 2 st.Partition.parts;
-  Alcotest.(check bool) "isolated: nothing cut -> infinite lookahead" true
-    (st.Partition.cut_edges = 0 && st.Partition.min_cut_latency = infinity)
 
 let () =
   Alcotest.run "mifo_topology"
@@ -418,14 +351,5 @@ let () =
         [
           Alcotest.test_case "small graph" `Quick test_topo_stats;
           Alcotest.test_case "degree distribution" `Quick test_degree_distribution;
-        ] );
-      ( "partition",
-        [
-          Alcotest.test_case "two cliques cut at the slow bridge" `Quick
-            test_partition_two_cliques;
-          Alcotest.test_case "deterministic and balanced" `Quick
-            test_partition_deterministic_and_balanced;
-          Alcotest.test_case "degenerate shapes and validation" `Quick
-            test_partition_degenerate;
         ] );
     ]

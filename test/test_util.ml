@@ -546,7 +546,17 @@ let test_obs_snapshot_parses () =
        | _ -> false);
     let names = List.map fst kvs in
     Alcotest.(check (list string)) "names sorted (deterministic output)"
-      (List.sort compare names) names
+      (List.sort compare names) names;
+    (* a registered gauge appears only once it holds a reading *)
+    let _unset = Obs.gauge "test.obs.snap.unset" in
+    Obs.set_gauge (Obs.gauge "test.obs.snap.set") 2.5;
+    (match Obs.Json.member "gauges" (Obs.Json.parse (Obs.snapshot_json ())) with
+     | Some (Obs.Json.Obj gs) ->
+       Alcotest.(check bool) "unset gauge absent" true
+         (List.assoc_opt "test.obs.snap.unset" gs = None);
+       Alcotest.(check bool) "set gauge present with its value" true
+         (List.assoc_opt "test.obs.snap.set" gs = Some (Obs.Json.Num 2.5))
+     | _ -> Alcotest.fail "no gauges object")
   | _ -> Alcotest.fail "no counters object"
 
 let test_obs_json_roundtrip () =
@@ -673,29 +683,6 @@ let test_parallel_pool_reuse () =
         Alcotest.(check int) "first" round got.(0);
         Alcotest.(check int) "last" (63 + round) got.(63)
       done)
-
-let test_fork_join_barrier () =
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          let n = 17 in
-          let hits = Array.make n 0 in
-          Parallel.fork_join pool n (fun i -> hits.(i) <- hits.(i) + 1);
-          Alcotest.(check bool)
-            (Printf.sprintf "each task exactly once (jobs=%d)" jobs)
-            true
-            (Array.for_all (fun h -> h = 1) hits);
-          (* the join is a barrier: every effect is visible at return *)
-          let acc = Array.make n 0 in
-          Parallel.fork_join pool n (fun i -> acc.(i) <- i * i);
-          let sum = Array.fold_left ( + ) 0 acc in
-          Alcotest.(check int) "all effects joined" 1496 sum;
-          Parallel.fork_join pool 0 (fun _ -> Alcotest.fail "ran on n=0")))
-    [ 1; 4 ];
-  with_pool 2 (fun pool ->
-      match Parallel.fork_join pool (-1) (fun _ -> ()) with
-      | () -> Alcotest.fail "negative task count accepted"
-      | exception Invalid_argument _ -> ())
 
 (* MIFO_JOBS is read when a pool size is needed, never at module
    initialisation; a malformed value is an error naming the variable and
@@ -887,8 +874,6 @@ let () =
           Alcotest.test_case "worker exception propagates" `Quick
             test_parallel_exception_propagates;
           Alcotest.test_case "pool reuse across batches" `Quick test_parallel_pool_reuse;
-          Alcotest.test_case "fork_join covers all tasks and joins" `Quick
-            test_fork_join_barrier;
           Alcotest.test_case "MIFO_JOBS parsing" `Quick test_default_jobs_env;
           Alcotest.test_case "set_default_jobs rejects non-positive" `Quick
             test_set_default_jobs_rejects_nonpositive;
