@@ -113,13 +113,12 @@ static-check:
 	*) echo "static-check: k=2 ablation failed without a loop counterexample"; exit 1;; \
 	esac
 
-# Smoke-test the sim benchmark suite at tiny sizes: the incremental
-# solver must still be exercised end-to-end (reference vs incremental
-# under BGP, 50% MIRO and MIFO, every row bit-identical; packetsim event
-# loop), both eventq engines must report bit-identical
-# event counts and completions (the bench exits 1 on any divergence,
-# and the JSON is re-checked here), and BENCH_sim.json must be
-# well-formed JSON.  A second leg runs the routing track on a
+# Smoke-test the sim benchmark suite at tiny sizes: every flowsim row
+# compares Flowsim.run with the reference simulator in the oracle
+# library under BGP, 50% MIRO and MIFO, and every packetsim row compares
+# per-packet scheduling with packet trains; all rows must be
+# bit-identical (the bench exits 1 on any divergence, and the JSON is
+# re-checked here), and BENCH_sim.json must be well-formed JSON.  A second leg runs the routing track on a
 # downsized 44K-shaped topology and asserts the CSR/boxed RIBs and the
 # incremental/full verifier verdicts agree, that jobs/peak-memory are
 # recorded, and that no speedup is quoted on a 1-core box.  A malformed
@@ -139,12 +138,16 @@ bench-smoke:
 rows=(d.get("packetsim") or [])+d["flowsim"]; \
 assert rows, "no bench rows"; \
 bad=[r["label"] for r in rows if not r["bit_identical"]]; \
-assert not bad, "engines diverged: %s" % bad; \
+assert not bad, "rows diverged from their oracle: %s" % bad; \
+assert all(r["oracle"]["solves"] == r["oracle"]["epochs"] >= r["production"]["solves"] \
+	for r in d["flowsim"]), "oracle must solve every epoch, production no more often"; \
+assert all("per_packet" in r and "trains" in r for r in d.get("packetsim") or []), \
+	"packetsim rows must compare per-packet with trains"; \
 fs={}; [fs.setdefault(r["label"], set()).add(r["protocol"]) for r in d["flowsim"]]; \
 assert fs and all(p == {"bgp", "miro50", "mifo"} for p in fs.values()), \
 	"flowsim rows must cover bgp, miro50 and mifo at every size: %s" % fs' \
 			_build/BENCH_sim-smoke.json && \
-		echo "bench-smoke: heap/wheel engines and flowsim controllers bit-identical"; \
+		echo "bench-smoke: flowsim rows match the oracle, packet trains match per-packet"; \
 	else \
 		echo "bench-smoke: python3 not installed, skipping JSON parse check"; \
 	fi

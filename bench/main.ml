@@ -624,9 +624,9 @@ type flowsim_size = {
   sim_links : int;
   sim_flows : int;
   sim_time : float;
-  reference : engine_sample;
-  incremental : engine_sample;
-  identical : bool;  (* engines produced bit-identical results *)
+  oracle : engine_sample;
+  production : engine_sample;
+  identical : bool;  (* production and oracle produced bit-identical results *)
 }
 
 type pkt_engine_sample = { events : int; pkt_secs : float; events_per_sec : float }
@@ -636,20 +636,21 @@ type packetsim_size = {
   pkt_ases : int;
   pkt_flows : int;
   pkt_kb : int;
-  heap : pkt_engine_sample;  (* Eventq.Heap, per-packet scheduling: the oracle *)
-  wheel : pkt_engine_sample;  (* Eventq.Wheel + packet trains: the fast path *)
+  per_packet : pkt_engine_sample;  (* one queue entry per departure: the oracle *)
+  trains : pkt_engine_sample;  (* per-link packet trains: the fast path *)
   pkt_identical : bool;  (* event counts, finish times, counters all bitwise equal *)
 }
 
 let flowsim_sizes : flowsim_size list ref = ref []
 let packetsim_sizes : packetsim_size list ref = ref []
 
-(* Flow-level simulator: wall time per epoch, reference engine (per-epoch
-   Maxmin.allocate, the pre-optimization implementation kept as oracle)
-   vs. the incremental solver with clean-epoch skipping.  Same topology,
-   same workload, one row per controller (BGP, MIRO at 50% deployment,
-   MIFO everywhere), and — asserted here — bit-identical results: every
-   flow's stats, the throughput series and the epoch count. *)
+(* Flow-level simulator: wall time per epoch, the reference simulator
+   (Flowsim_oracle: the pre-optimization epoch loop, solving every epoch
+   with the reference allocator) vs. Flowsim.run (the incremental solver
+   with clean-epoch skipping).  Same topology, same workload, one row
+   per controller (BGP, MIRO at 50% deployment, MIFO everywhere), and —
+   asserted here — bit-identical results: every flow's stats, the
+   throughput series and the epoch count. *)
 let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
   let module Generator = Mifo_topology.Generator in
   let topo =
@@ -674,14 +675,14 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
             (Array.map (fun (s : Flowsim.flow_spec) -> s.Flowsim.dst) specs)))
   in
   Mifo_bgp.Routing_table.precompute table dests;
-  let run name protocol engine =
+  let run name protocol simulate =
     Gc.compact ();
-    let params = { Flowsim.default_params with Flowsim.engine; max_time } in
+    let params = { Flowsim.default_params with Flowsim.max_time } in
     let t0 = Unix.gettimeofday () in
     let r =
       Obs.time_phase
         (Printf.sprintf "bench.flowsim.%s.%s" label name)
-        (fun () -> Flowsim.run ~params table protocol specs)
+        (fun () -> simulate ~params table protocol specs)
     in
     let secs = Unix.gettimeofday () -. t0 in
     let sample =
@@ -710,9 +711,13 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
     && Array.map stats_bits a.Flowsim.flows = Array.map stats_bits b.Flowsim.flows
   in
   let one (name, protocol) =
-    let reference, ref_r = run name protocol Flowsim.Reference in
-    let incremental, inc_r = run name protocol Flowsim.Incremental in
-    let identical = same ref_r inc_r in
+    let oracle, oracle_r =
+      run name protocol (fun ~params -> Mifo_oracle.Flowsim_oracle.run ~params ?failures:None)
+    in
+    let production, prod_r =
+      run name protocol (fun ~params -> Flowsim.run ~params ?failures:None)
+    in
+    let identical = same oracle_r prod_r in
     if not identical then bench_failed := true;
     flowsim_sizes :=
       !flowsim_sizes
@@ -724,22 +729,22 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
             sim_links = Mifo_topology.As_graph.edge_count g;
             sim_flows = count;
             sim_time = max_time;
-            reference;
-            incremental;
+            oracle;
+            production;
             identical;
           };
         ];
     Printf.printf
       "== Flowsim (%s, %s: %d ASes, %d flows, %.0fs horizon) ==\n\
-       reference:   %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
-       incremental: %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
+       oracle:     %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
+       production: %6d epochs, %6d solves, %6.2fs (%8.0f epochs/s)\n\
        speedup: %.2fx   bit-identical: %b%s\n\n%!"
-      label name n count max_time reference.epochs reference.solves reference.secs
-      reference.epochs_per_sec incremental.epochs incremental.solves
-      incremental.secs incremental.epochs_per_sec
-      (reference.secs /. incremental.secs)
+      label name n count max_time oracle.epochs oracle.solves oracle.secs
+      oracle.epochs_per_sec production.epochs production.solves production.secs
+      production.epochs_per_sec
+      (oracle.secs /. production.secs)
       identical
-      (if identical then "" else "   <-- ENGINE MISMATCH")
+      (if identical then "" else "   <-- ORACLE MISMATCH")
   in
   List.iter one
     [
@@ -753,11 +758,11 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
       ("mifo", Flowsim.Mifo (Mifo_core.Deployment.full ~n));
     ]
 
-(* Packet-level simulator: events/sec under both eventq engines on the
-   same workload, asserted bit-identical.  The heap sample also disables
-   packet trains — it is the PR-4-era per-packet discipline kept as the
-   oracle; the wheel sample is the full fast path (timing wheel + per-
-   link trains).  Two topologies:
+(* Packet-level simulator: events/sec with per-packet scheduling (one
+   queue entry per departure, the oracle) and with per-link packet
+   trains (the production fast path) on the same workload, asserted
+   bit-identical.  Both run on the timing-wheel event queue.  Two
+   topologies:
 
    - chain: every flow funnels into the last AS so the shared tail
      links queue, drop, and retransmit — the TCP hot paths;
@@ -767,10 +772,10 @@ let flowsim_bench_size ~label ~ases ~flows:count ~max_time =
      event-queue scaling configuration: open-loop UDP blasts from
      20 Gb/s stubs into a 1 Gb/s core, with buffers sized to hold the
      whole offered load, build a backlog of hundreds of thousands of
-     in-flight departures.  Per-packet heap scheduling pays O(log n)
-     with cold caches on every event there; the timing wheel plus
-     per-link trains (one queue entry per busy link, the backlog held
-     in the link's FIFO) keeps the queue a few hundred entries deep. *)
+     in-flight departures.  Per-packet scheduling keeps every one of
+     them in the event queue; per-link trains (one queue entry per busy
+     link, the backlog held in the link's FIFO) keep the queue a few
+     hundred entries deep. *)
 
 module P = Mifo_netsim.Packetsim
 
@@ -828,8 +833,7 @@ let pkt_chain ~k ~nflows ~kb config =
    are open-loop UDP blasts, left-side hosts -> right-side hosts, all
    crossing the slow core.  [queue_bits] is sized to the whole offered
    load so nothing drops: every queued packet is a scheduled departure,
-   which is exactly the deep-backlog regime the eventq engines are
-   being compared under. *)
+   which is exactly the deep-backlog regime packet trains are for. *)
 let pkt_dumbbell ~k ~nflows ~kb config =
   let module Engine = Mifo_core.Engine in
   let module Prefix = Mifo_bgp.Prefix in
@@ -914,18 +918,16 @@ let pkt_fingerprint sim =
   in
   (P.events_processed sim, finishes, P.counters sim)
 
-(* Each engine runs [repeats] times and reports its best wall clock —
+(* Each discipline runs [repeats] times and reports its best wall clock —
    the standard discipline against scheduler noise.  Every repeat must
    reproduce the same fingerprint (the simulator is deterministic), so
    the repeats double as a determinism check at full bench scale. *)
 let pkt_repeats = Stdlib.max 1 (env_int "MIFO_PKT_REPEATS" 2)
 
-let pkt_run ~label ~build engine trains =
+let pkt_run ~label ~build trains =
   let run_once () =
     Gc.compact ();
-    let config =
-      { P.default_config with P.eventq_engine = engine; packet_trains = trains }
-    in
+    let config = { P.default_config with P.packet_trains = trains } in
     let sim = build config in
     let t0 = Unix.gettimeofday () in
     Obs.time_phase (Printf.sprintf "bench.packetsim.%s" label) (fun () -> P.run sim);
@@ -951,9 +953,9 @@ let pkt_run ~label ~build engine trains =
     fp )
 
 let packetsim_bench_size ~label ~build ~ases:k ~nflows ~kb =
-  let heap, fp_heap = pkt_run ~label ~build Mifo_netsim.Eventq.Heap false in
-  let wheel, fp_wheel = pkt_run ~label ~build Mifo_netsim.Eventq.Wheel true in
-  let e1, f1, c1 = fp_heap and e2, f2, c2 = fp_wheel in
+  let per_packet, fp_per_packet = pkt_run ~label ~build false in
+  let trains, fp_trains = pkt_run ~label ~build true in
+  let e1, f1, c1 = fp_per_packet and e2, f2, c2 = fp_trains in
   let identical = e1 = e2 && f1 = f2 && c1 = c2 in
   if not identical then bench_failed := true;
   packetsim_sizes :=
@@ -964,21 +966,21 @@ let packetsim_bench_size ~label ~build ~ases:k ~nflows ~kb =
           pkt_ases = k;
           pkt_flows = nflows;
           pkt_kb = kb;
-          heap;
-          wheel;
+          per_packet;
+          trains;
           pkt_identical = identical;
         };
       ];
   Printf.printf
     "== Packetsim (%s: %d ASes, %d flows of %d KB, best of %d) ==\n\
-     heap  (per-packet):    %9d events, %6.2fs (%8.0f events/s)\n\
-     wheel (packet trains): %9d events, %6.2fs (%8.0f events/s)\n\
+     per-packet:    %9d events, %6.2fs (%8.0f events/s)\n\
+     packet trains: %9d events, %6.2fs (%8.0f events/s)\n\
      speedup: %.2fx   bit-identical: %b%s\n\n%!"
-    label k nflows kb pkt_repeats heap.events heap.pkt_secs heap.events_per_sec wheel.events
-    wheel.pkt_secs wheel.events_per_sec
-    (heap.pkt_secs /. wheel.pkt_secs)
+    label k nflows kb pkt_repeats per_packet.events per_packet.pkt_secs
+    per_packet.events_per_sec trains.events trains.pkt_secs trains.events_per_sec
+    (per_packet.pkt_secs /. trains.pkt_secs)
     identical
-    (if identical then "" else "   <-- ENGINE MISMATCH")
+    (if identical then "" else "   <-- TRAINS MISMATCH")
 
 let packetsim_bench () =
   let k = Stdlib.max 3 (env_int "MIFO_PKT_ASES" 8) in
@@ -1040,13 +1042,13 @@ let write_sim_json path =
       Printf.sprintf
         "    {\"label\": \"%s\", \"protocol\": \"%s\", \"ases\": %d, \"links\": %d, \
          \"flows\": %d, \"max_time\": %.1f,\n\
-        \     \"reference\": %s,\n\
-        \     \"incremental\": %s,\n\
+        \     \"oracle\": %s,\n\
+        \     \"production\": %s,\n\
         \     \"speedup\": %.3f, \"bit_identical\": %b}"
         (json_escape s.size_label) (json_escape s.protocol) s.sim_ases s.sim_links
         s.sim_flows s.sim_time
-        (engine s.reference) (engine s.incremental)
-        (s.reference.secs /. s.incremental.secs)
+        (engine s.oracle) (engine s.production)
+        (s.oracle.secs /. s.production.secs)
         s.identical
     in
     let pkt_engine s =
@@ -1057,12 +1059,12 @@ let write_sim_json path =
     let pkt p =
       Printf.sprintf
         "    {\"label\": \"%s\", \"ases\": %d, \"flows\": %d, \"kb\": %d,\n\
-        \     \"heap\": %s,\n\
-        \     \"wheel\": %s,\n\
+        \     \"per_packet\": %s,\n\
+        \     \"trains\": %s,\n\
         \     \"speedup\": %.3f, \"bit_identical\": %b}"
         (json_escape p.pkt_label) p.pkt_ases p.pkt_flows p.pkt_kb
-        (pkt_engine p.heap) (pkt_engine p.wheel)
-        (p.heap.pkt_secs /. p.wheel.pkt_secs)
+        (pkt_engine p.per_packet) (pkt_engine p.trains)
+        (p.per_packet.pkt_secs /. p.trains.pkt_secs)
         p.pkt_identical
     in
     let packetsim =

@@ -1,8 +1,8 @@
 (* mifo-lint: determinism and domain-safety gate, stdlib only.
 
-   Three rule families, enforced over every .ml file under the given
-   directories (default: lib bin test examples — bench/ is exempt, its
-   wall-clock timing is the point):
+   Four rule families, enforced over every .ml file (and, for the last,
+   every dune file) under the given directories (default: lib bin test
+   examples — bench/ is exempt, its wall-clock timing is the point):
 
    - Determinism: the simulators must be bit-reproducible from their
      seeds, so wall-clock reads ([Unix.gettimeofday]) and the global
@@ -21,6 +21,12 @@
      inner loops and fragile (it would traverse whole records if a
      comparator's argument type drifted).  Use the monomorphic
      [Float.compare] / [Int.compare] (identical orders on those types).
+
+   - Oracles stay out of production: the reference implementations the
+     differential tests compare against live in the [mifo_oracle]
+     library (test/oracle/), which only test/ and bench/ may link.  A
+     dune file under lib/ or bin/ that names it is a finding, so a
+     production path can never select an oracle at run time.
 
    A finding can be waived for one line with a [lint:allow] marker.
    Exit status: 0 clean, 1 findings. *)
@@ -45,9 +51,10 @@ let domain_shared = [ "routing.ml"; "routing_table.ml"; "obs.ml" ]
 (* Data-plane hot paths (lib/bgp, lib/core): new bare [Hashtbl] use is
    banned — the CSR RIB arena and the open-addressed flat FIB are the
    representations there, and a boxed hash table on those paths undoes
-   the 44K-scale memory/locality work.  Oracle representations and
-   mutex-guarded control-plane caches carry explicit [lint:allow]
-   waivers; pure control-plane parsers are exempt wholesale. *)
+   the 44K-scale memory/locality work.  Mutex-guarded control-plane
+   caches and analysis-only scratch sets carry explicit [lint:allow]
+   waivers; pure control-plane parsers are exempt wholesale; oracle
+   representations live in test/oracle/. *)
 let no_hashtbl_dirs = [ "bgp"; "core"; "analysis" ]
 let no_hashtbl_exempt = [ "bgp_proto.ml"; "prefix_table.ml" ]
 
@@ -154,12 +161,34 @@ let lint_file path =
     end
   end
 
+(* The oracle library may be linked by test/ and bench/ only. *)
+let oracle_library = "mifo_oracle"
+
+let is_production_dune path =
+  let parts = String.split_on_char '/' path in
+  Filename.basename path = "dune"
+  && (List.mem "lib" parts || (match parts with "bin" :: _ -> true | _ -> false))
+
+let lint_dune path =
+  let ic = open_in path in
+  let line_no = ref 0 in
+  (try
+     while true do
+       let line = input_line ic in
+       incr line_no;
+       if contains ~sub:oracle_library line then
+         report path !line_no line
+           (oracle_library ^ ": production code must not link the oracle library")
+     done
+   with End_of_file -> close_in ic)
+
 let rec walk path =
   if Sys.is_directory path then
     Array.iter
       (fun entry ->
         if entry <> "_build" && entry <> "bench" then walk (Filename.concat path entry))
       (Sys.readdir path)
+  else if is_production_dune path then lint_dune path
   else if
     Filename.check_suffix path ".ml" && Filename.basename path <> "mifo_lint.ml"
     (* the rule table above would match itself *)

@@ -254,37 +254,21 @@ let ablations_cmd =
         ])
 
 let validate_cmd =
-  let run jobs obs seed ases flows eventq =
+  let run jobs obs seed ases flows =
     apply_jobs jobs;
     with_obs obs @@ fun () ->
-    let v = Mifo_exp.Validation.run ~ases ~flows ~eventq ~seed () in
+    let v = Mifo_exp.Validation.run ~ases ~flows ~seed () in
     print_string (Mifo_exp.Validation.render v);
     if List.exists (fun (_, ok) -> not ok) v.Mifo_exp.Validation.invariants then exit 1
   in
   let v_ases = Arg.(value & opt int 150 & info [ "ases" ] ~docv:"N" ~doc:"Topology size.") in
   let v_flows = Arg.(value & opt int 24 & info [ "flows" ] ~docv:"N" ~doc:"Flows.") in
-  let v_eventq =
-    let module Eventq = Mifo_netsim.Eventq in
-    let engine_conv =
-      Arg.enum
-        (List.map (fun e -> (Eventq.engine_name e, e)) [ Eventq.Heap; Eventq.Wheel ])
-    in
-    Arg.(
-      value
-      & opt engine_conv Mifo_netsim.Packetsim.default_config.Mifo_netsim.Packetsim.eventq_engine
-      & info [ "eventq" ] ~docv:"ENGINE"
-          ~doc:
-            "Event-queue engine for the packet-level simulator: $(b,heap) (the \
-             oracle) or $(b,wheel) (the default timing wheel).  Both are \
-             bit-identical; running validate under each is a cheap way to audit \
-             that.")
-  in
   Cmd.v
     (Cmd.info "validate"
        ~doc:
          "Cross-validate the flow-level and packet-level simulators on one scenario. \
           Exits non-zero if a forwarding invariant is violated.")
-    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows $ v_eventq)
+    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows)
 
 let check_cmd =
   let gadget_t =

@@ -22,19 +22,15 @@
     a deterministic slice of the flow space and a single-alternative
     entry behaves exactly like the k=1 data plane.
 
-    {b Representations.}  The default {!Flat} store keeps each prefix
-    length's entries in an open-addressed int-keyed index over a
-    slot-stable arena of unboxed [out_port]/[alt]/[deflect_buckets]
-    int arrays (the alt array strided {!max_alts} cells per entry) — no
-    per-entry boxes, which is what lets a full-Internet-scale FIB fit in
-    flat memory.  The original one-[Hashtbl]-per-length layout survives
-    as the {!Hashed} oracle behind the same API; QCheck gates in
-    [test_core] assert the two are observationally identical under
-    random insert/remove/set-alts churn. *)
-
-type rep = Flat | Hashed
-
-val rep_name : rep -> string
+    {b Representation.}  Each prefix length's entries sit in an
+    open-addressed int-keyed index over a slot-stable arena of unboxed
+    [out_port]/[alt]/[deflect_buckets] int arrays (the alt array
+    strided {!max_alts} cells per entry) — no per-entry boxes, which is
+    what lets a full-Internet-scale FIB fit in flat memory.  The
+    original one-[Hashtbl]-per-length layout lives with the tests
+    ([test/oracle/fib_hashed.ml]); QCheck gates in [test_core] assert
+    the two are observationally identical under random
+    insert/remove/set-alts churn. *)
 
 type t
 
@@ -59,18 +55,14 @@ val default_k : unit -> int
     @raise Invalid_argument naming the variable and its value when it
     is not a positive integer. *)
 
-val create : ?rep:rep -> unit -> t
-(** Default representation is {!Flat}; {!Hashed} is the oracle.
-
-    A fresh {!Flat} table allocates no per-length storage: all 33
+val create : unit -> t
+(** A fresh table allocates no per-length storage: all 33
     prefix lengths share one empty sentinel level, and a length gets
     its own index and arena on its first {!insert}.  {!lookup},
     {!find}, {!remove}, {!iter} and {!size} on a length never inserted
     read the sentinel and never write it, so tables stay isolated from
     each other.  A 44K-router network whose FIBs hold only /24s thus
     pays for one level per router, not 33. *)
-
-val rep : t -> rep
 
 val insert : t -> Mifo_bgp.Prefix.t -> out_port:int -> ?alt_port:int -> unit -> unit
 (** Installs or refreshes the entry for a prefix.
@@ -99,8 +91,8 @@ val set_alt : t -> Mifo_bgp.Prefix.t -> int option -> unit
 (** @raise Not_found if no entry exists for the prefix. *)
 
 val iter : t -> (Mifo_bgp.Prefix.t -> entry -> unit) -> unit
-(** Iteration order is unspecified and differs between representations;
-    callers needing a canonical order must sort. *)
+(** Iteration order is unspecified; callers needing a canonical order
+    must sort. *)
 
 val size : t -> int
 (** Number of live entries — a cached O(1) count (it sits on the

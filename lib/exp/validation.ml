@@ -27,8 +27,7 @@ let makespan results =
       match r.finish with Some f -> Float.max acc f | None -> acc)
     0. results
 
-let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
-    ?(eventq = Packetsim.default_config.Packetsim.eventq_engine) ~seed () =
+let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000) ~seed () =
   let params =
     {
       Generator.default_params with
@@ -72,10 +71,7 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
   let fl_mifo = flow_run (Deployment.full ~n:ases) in
   (* --- packet level --- *)
   let packet_run deployment =
-    let config =
-      { Packetsim.default_config with Packetsim.eventq_engine = eventq }
-    in
-    let net = As_network.build ~config table ~deployment ~host_rate:20e9 ~hosts () in
+    let net = As_network.build table ~deployment ~host_rate:20e9 ~hosts () in
     Array.iter
       (fun (s : Flowsim.flow_spec) ->
         ignore

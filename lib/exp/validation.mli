@@ -41,14 +41,9 @@ val run :
   ?ases:int ->
   ?flows:int ->
   ?flow_bytes:int ->
-  ?eventq:Mifo_netsim.Eventq.engine ->
   seed:int ->
   unit ->
   t
-(** Defaults: 150 ASes, 24 flows of 10 MB.  Deterministic in [seed].
-    [eventq] selects the packet-level simulator's event-queue engine
-    (default: the {!Mifo_netsim.Packetsim.default_config} engine, i.e.
-    the timing wheel); both engines are bit-identical, so the result
-    must not depend on the choice — handy for auditing exactly that. *)
+(** Defaults: 150 ASes, 24 flows of 10 MB.  Deterministic in [seed]. *)
 
 val render : t -> string

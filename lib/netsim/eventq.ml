@@ -1,21 +1,7 @@
-module Heap = Mifo_util.Heap
 module Wheel = Mifo_util.Wheel
 
-type engine = Heap | Wheel
-
-let engine_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let engine_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-type 'a item = { time : float; seq : int; payload : 'a }
-
-type 'a backend = H of 'a item Heap.t | W of 'a Wheel.t
-
 type 'a t = {
-  backend : 'a backend;
+  wheel : 'a Wheel.t;
   mutable next_seq : int;
   mutable peak : int;
   last : float array;
@@ -24,20 +10,8 @@ type 'a t = {
          a fresh float on every pop *)
 }
 
-let cmp a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let create ?(engine = Heap) () =
-  let backend =
-    match engine with
-    | Heap -> H (Heap.create ~cmp ())
-    | Wheel -> W (Wheel.create ())
-  in
-  { backend; next_seq = 0; peak = 0; last = [| 0. |] }
-
-let engine t = match t.backend with H _ -> Heap | W _ -> Wheel
-let length t = match t.backend with H h -> Heap.length h | W w -> Wheel.length w
+let create () = { wheel = Wheel.create (); next_seq = 0; peak = 0; last = [| 0. |] }
+let length t = Wheel.length t.wheel
 
 let alloc_seq t =
   let s = t.next_seq in
@@ -46,10 +20,8 @@ let alloc_seq t =
 
 let schedule_pre t ~time ~seq payload =
   if Float.is_nan time || time < 0. then invalid_arg "Eventq.schedule: bad time";
-  (match t.backend with
-  | H h -> Heap.push h { time; seq; payload }
-  | W w -> Wheel.schedule w ~time ~seq payload);
-  let n = length t in
+  Wheel.schedule t.wheel ~time ~seq payload;
+  let n = Wheel.length t.wheel in
   if n > t.peak then t.peak <- n
 
 let schedule t ~time payload =
@@ -57,54 +29,25 @@ let schedule t ~time payload =
   schedule_pre t ~time ~seq payload
 
 let next t =
-  match t.backend with
-  | H h -> (
-      match Heap.pop h with
-      | None -> None
-      | Some { time; payload; _ } -> Some (time, payload))
-  | W w -> (
-      match Wheel.pop w with
-      | None -> None
-      | Some (time, _, payload) -> Some (time, payload))
+  match Wheel.pop t.wheel with
+  | None -> None
+  | Some (time, _, payload) -> Some (time, payload)
 
-let is_empty t =
-  match t.backend with H h -> Heap.is_empty h | W w -> Wheel.is_empty w
+let is_empty t = Wheel.is_empty t.wheel
 
 (* Fused peek-filter-pop for the dispatch loop: one [Some payload]
    allocation per event instead of an option per peek plus a tuple per
    pop.  The popped event's time is read back via {!last_time}. *)
-let pop_before t ~until =
-  match t.backend with
-  | H h ->
-    if Heap.is_empty h then None
-    else begin
-      let it = Heap.top_exn h in
-      if it.time > until then None
-      else begin
-        Heap.drop h;
-        t.last.(0) <- it.time;
-        Some it.payload
-      end
-    end
-  | W w -> Wheel.pop_before w ~until ~cell:t.last
-
+let pop_before t ~until = Wheel.pop_before t.wheel ~until ~cell:t.last
 let last_time t = t.last.(0)
 let time_cell t = t.last
 
 (* Allocation-free "may this key run ahead of the queue?" test for
    batched callers; true when the queue is empty. *)
-let precedes_head t ~time ~seq =
-  match t.backend with
-  | H h ->
-    Heap.is_empty h
-    ||
-    let it = Heap.top_exn h in
-    let c = Float.compare time it.time in
-    c < 0 || (c = 0 && seq < it.seq)
-  | W w -> Wheel.precedes w ~time ~seq
+let precedes_head t ~time ~seq = Wheel.precedes t.wheel ~time ~seq
 
 let clear t =
-  (match t.backend with H h -> Heap.clear h | W w -> Wheel.clear w);
+  Wheel.clear t.wheel;
   (* Reset the tie-break counter too: a cleared queue must schedule and
      pop exactly like a fresh one, or reuse breaks reproducibility. *)
   t.next_seq <- 0;
@@ -112,18 +55,8 @@ let clear t =
   t.last.(0) <- 0.
 
 let peek_time t =
-  match t.backend with
-  | H h -> (
-      match Heap.peek h with None -> None | Some { time; _ } -> Some time)
-  | W w -> ( match Wheel.peek w with None -> None | Some (time, _) -> Some time)
+  match Wheel.peek t.wheel with None -> None | Some (time, _) -> Some time
 
-let peek_key t =
-  match t.backend with
-  | H h -> (
-      match Heap.peek h with
-      | None -> None
-      | Some { time; seq; _ } -> Some (time, seq))
-  | W w -> Wheel.peek w
-
+let peek_key t = Wheel.peek t.wheel
 let peak_length t = t.peak
-let wheel_stats t = match t.backend with H _ -> None | W w -> Some (Wheel.stats w)
+let wheel_stats t = Wheel.stats t.wheel

@@ -11,7 +11,6 @@ type protocol =
   | Miro of { deployment : Deployment.t; cap : int }
 
 type alt_selection = Greedy_local | Oracle_bottleneck
-type engine = Incremental | Reference
 
 type params = {
   link_capacity : float;
@@ -23,8 +22,6 @@ type params = {
   max_time : float;
   series_interval : float;
   alt_selection : alt_selection;
-  engine : engine;
-  skip_clean_epochs : bool;
 }
 
 let default_params =
@@ -38,8 +35,6 @@ let default_params =
     max_time = 120.;
     series_interval = 0.25;
     alt_selection = Greedy_local;
-    engine = Incremental;
-    skip_clean_epochs = true;
   }
 
 type flow_spec = { src : int; dst : int; size_bits : float; start : float }
@@ -212,12 +207,7 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
   let links_reg = Links.create g in
   let nlinks = Links.count links_reg in
   let capacities = Array.make nlinks params.link_capacity in
-  let solver =
-    match params.engine with
-    | Incremental ->
-      Some (Maxmin.Solver.create ~capacity:params.link_capacity ~nlinks ())
-    | Reference -> None
-  in
+  let solver = Maxmin.Solver.create ~capacity:params.link_capacity ~nlinks () in
   (* Does the solver state (membership or capacities) differ from the
      last solve?  Set on arrival, completion, path switch, and link
      failure; when clear, this epoch's solve would be bit-identical to
@@ -254,12 +244,9 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
         let luv = Links.id links_reg u v and lvu = Links.id links_reg v u in
         capacities.(luv) <- dead_capacity;
         capacities.(lvu) <- dead_capacity;
-        (match solver with
-        | Some sv ->
-          Maxmin.Solver.set_capacity sv luv dead_capacity;
-          Maxmin.Solver.set_capacity sv lvu dead_capacity;
-          dirty := true
-        | None -> ());
+        Maxmin.Solver.set_capacity solver luv dead_capacity;
+        Maxmin.Solver.set_capacity solver lvu dead_capacity;
+        dirty := true;
         go ()
       | _ -> ()
     in
@@ -320,11 +307,10 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
   let switch_to f path =
     f.path <- path;
     f.links <- path_links links_reg path;
-    (match solver with
-    | Some sv when f.slot >= 0 ->
-      Maxmin.Solver.set_links sv f.slot (Maxmin.dedup_links f.links);
+    if f.slot >= 0 then begin
+      Maxmin.Solver.set_links solver f.slot (Maxmin.dedup_links f.links);
       dirty := true
-    | _ -> ());
+    end;
     f.switches <- f.switches + 1;
     Obs.incr c_switches;
     let is_default = path == f.default_path || path = f.default_path in
@@ -510,11 +496,8 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
       let f = flows.(!next_arrival) in
       Mifo_util.Vec.push active f;
       settled := false;
-      (match solver with
-      | Some sv ->
-        f.slot <- Maxmin.Solver.register sv (Maxmin.dedup_links f.links);
-        dirty := true
-      | None -> ());
+      f.slot <- Maxmin.Solver.register solver (Maxmin.dedup_links f.links);
+      dirty := true;
       incr next_arrival
     done;
     (* adaptation against last epoch's utilization, most-starved flows
@@ -539,37 +522,26 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
         adapt order.(i)
       done
     end;
-    (* allocation *)
-    (match solver with
-    | Some sv ->
-      let nactive = Mifo_util.Vec.length active in
-      if !dirty || not params.skip_clean_epochs then begin
-        ensure_scratch slot_scratch nactive (-1);
-        let slots = !slot_scratch in
-        for i = 0 to nactive - 1 do
-          slots.(i) <- (Mifo_util.Vec.get active i).slot
-        done;
-        Maxmin.Solver.solve sv slots nactive;
-        dirty := false;
-        settled := false;
-        incr solves;
-        Obs.incr c_solves;
-        for i = 0 to nactive - 1 do
-          let f = Mifo_util.Vec.get active i in
-          f.rate <- Maxmin.Solver.rate sv f.slot
-        done;
-        alloc := Maxmin.Solver.link_allocs sv
-      end
-      else Obs.incr c_skipped
-    | None ->
-      let active_arr = Mifo_util.Vec.to_array active in
-      let flow_links = Array.map (fun f -> f.links) active_arr in
-      let rates = Maxmin.allocate ~capacities ~flow_links in
-      Array.iteri (fun i f -> f.rate <- rates.(i)) active_arr;
+    (* allocation; skipped outright when nothing touched the solver
+       since the last solve, which would reproduce the same floats *)
+    if !dirty then begin
+      ensure_scratch slot_scratch nactive (-1);
+      let slots = !slot_scratch in
+      for i = 0 to nactive - 1 do
+        slots.(i) <- (Mifo_util.Vec.get active i).slot
+      done;
+      Maxmin.Solver.solve solver slots nactive;
+      dirty := false;
       settled := false;
       incr solves;
       Obs.incr c_solves;
-      alloc := Maxmin.link_allocation ~capacities ~flow_links ~rates);
+      for i = 0 to nactive - 1 do
+        let f = Mifo_util.Vec.get active i in
+        f.rate <- Maxmin.Solver.rate solver f.slot
+      done;
+      alloc := Maxmin.Solver.link_allocs solver
+    end
+    else Obs.incr c_skipped;
     (* progress *)
     let aggregate =
       Mifo_util.Vec.fold_left (fun acc f -> acc +. f.rate) 0. active
@@ -607,12 +579,9 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
       let f = Mifo_util.Vec.get active !i in
       if f.completed then begin
         ignore (Mifo_util.Vec.swap_remove active !i);
-        match solver with
-        | Some sv ->
-          Maxmin.Solver.unregister sv f.slot;
-          f.slot <- -1;
-          dirty := true
-        | None -> ()
+        Maxmin.Solver.unregister solver f.slot;
+        f.slot <- -1;
+        dirty := true
       end
       else incr i
     done;

@@ -32,6 +32,14 @@
     has changed since a pass that moved no flow, which would repeat
     exactly.  Skipping a pass never changes a result.
 
+    {b Allocation.}  Rates come from the incremental
+    {!Mifo_netsim.Maxmin.Solver}.  An epoch where no arrival,
+    completion, path switch or link failure touched the solver since
+    the last solve skips the solve: it would reproduce the same floats.
+    The tests compare every result bit for bit with a reference
+    simulator that solves every epoch with the stateless reference
+    allocator ([test/oracle/flowsim_oracle.ml]).
+
     Everything is deterministic: epochs, greedy orders and tie-breaks are
     fixed, so a (topology, traffic, protocol) triple always reproduces
     the same figure. *)
@@ -47,16 +55,6 @@ type alt_selection =
       (** ablation only: true end-to-end bottleneck spare of each
           candidate — information a real border router cannot have *)
 
-type engine =
-  | Incremental
-      (** {!Mifo_netsim.Maxmin.Solver}: persistent scratch state, zero
-          steady-state allocation, and bit-identical rates to
-          [Reference] by construction *)
-  | Reference
-      (** per-epoch {!Mifo_netsim.Maxmin.allocate} — the original
-          implementation, kept as the correctness oracle and the
-          benchmark baseline *)
-
 type params = {
   link_capacity : float;  (** bits/s on every inter-AS link (paper: 1 Gbps) *)
   dt : float;  (** epoch length, seconds *)
@@ -71,13 +69,6 @@ type params = {
   max_time : float;  (** simulation horizon, seconds *)
   series_interval : float;  (** aggregate-throughput sampling period *)
   alt_selection : alt_selection;
-  engine : engine;  (** which max-min implementation allocates rates *)
-  skip_clean_epochs : bool;
-      (** [Incremental] only: skip the solve on epochs where no arrival,
-          completion, path switch, or link failure touched the solver
-          since the last solve.  The skipped solve would be bit-identical
-          by construction, so results do not depend on this flag — there
-          is a test pinning that. *)
 }
 
 val default_params : params
@@ -103,7 +94,7 @@ type result = {
   epochs : int;
   solves : int;
       (** max-min solves actually run; < [epochs] when clean epochs were
-          skipped *)
+          skipped (see {b Allocation}) *)
   sim_end : float;
 }
 

@@ -10,57 +10,25 @@
     freeze, so a popped stale key can simply be re-pushed; the run time is
     O((L + sum of path lengths) log L).
 
-    Two implementations share that algorithm:
-
-    - {!allocate} is the stateless reference: it allocates its scratch
-      per call and is the oracle the tests compare against.
-    - {!Solver} is the incremental engine the simulator's hot loop uses:
-      flows register their link sets once, every scratch array persists
-      across solves, and a solve allocates nothing at steady state.  Its
-      rates are bit-identical to {!allocate} by construction (same float
-      expressions, same heap pop order — pinned by a QCheck equivalence
-      property). *)
+    {!Solver} is the incremental engine the simulator's hot loop uses:
+    flows register their link sets once, every scratch array persists
+    across solves, and a solve allocates nothing at steady state.  The
+    stateless reference allocator it is checked against lives with the
+    tests ([test/oracle/maxmin_ref.ml]); a QCheck property pins the two
+    bit-identical. *)
 
 val dedup_links : int array -> int array
 (** Canonical link set of a path: sorted ascending, duplicates removed.
     Returns a fresh array; the input is untouched. *)
 
-val allocate :
-  capacities:float array ->
-  flow_links:int array array ->
-  float array
-(** [allocate ~capacities ~flow_links] returns the max-min rate of each
-    flow.  [flow_links.(f)] lists the link ids flow [f] crosses.  An
-    empty link set means the flow is unconstrained and its rate is
-    [Float.infinity] — the caller decides what cap to apply (the flow
-    simulator never produces such flows: every flow crosses at least
-    its access links).  Duplicate link ids within one flow are allowed
-    and counted once.
-
-    @raise Invalid_argument on negative capacities or out-of-range link
-    ids. *)
-
-val link_allocation :
-  capacities:float array ->
-  flow_links:int array array ->
-  rates:float array ->
-  float array
-(** Total allocated bandwidth per link under the given rates — the
-    utilization view the adaptive controllers consume.  [flow_links.(f)]
-    must be duplicate-free (canonicalize with {!dedup_links} if unsure;
-    simulator paths are simple, so their link sets already are): each
-    occurrence of a link id adds [rates.(f)] once.  This function no
-    longer re-sorts or re-dedups per call — that hidden O(L log L) per
-    flow per epoch was pure waste on the hot path. *)
-
-(** Persistent incremental solver: same waterfilling as {!allocate},
-    zero allocation per solve at steady state.
+(** Persistent incremental solver: progressive filling with zero
+    allocation per solve at steady state.
 
     Intended use: [create] once per simulation, [register] each flow's
     {!dedup_links}-canonical link set at arrival, [set_links] on a path
     switch, [unregister] at completion, [set_capacity] on failure, and
     call [solve] each epoch.  [solve] also computes the per-link
-    allocation ({!link_allocation} folded into the same pass), exposed
+    allocation (folded into the same pass), exposed
     via {!val-link_allocs}. *)
 module Solver : sig
   type t
@@ -99,7 +67,7 @@ module Solver : sig
   (** [solve t active n] runs waterfilling over the flows
       [active.(0 .. n - 1)] (slot handles, caller's order).  Flow order
       determines the per-link allocation accumulation order, so pass the
-      same order the reference path would use.  Rates of slots not in
+      same order the reference allocator is given.  Rates of slots not in
       [active] are stale after the call; reading them is a caller bug.
 
       @raise Invalid_argument on a bad length or an unknown slot. *)

@@ -18,7 +18,6 @@ type config = {
   series_interval : float;
   tag_check : bool;
   ibgp_encap : bool;
-  eventq_engine : Eventq.engine;
   packet_trains : bool;
 }
 
@@ -33,7 +32,6 @@ let default_config =
     series_interval = 0.1;
     tag_check = true;
     ibgp_encap = true;
-    eventq_engine = Eventq.Wheel;
     packet_trains = true;
   }
 
@@ -200,7 +198,7 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  let events = Eventq.create ~engine:config.eventq_engine () in
+  let events = Eventq.create () in
   {
     cfg = config;
     nodes = Vec.create ();
@@ -391,14 +389,12 @@ let sample_queue_health t =
     end
   done;
   Obs.set_gauge g_peak_len (float_of_int (Eventq.peak_length t.events));
-  match Eventq.wheel_stats t.events with
-  | None -> ()
-  | Some st ->
-    Obs.set_gauge g_cascades (float_of_int st.Mifo_util.Wheel.cascades);
-    Obs.set_gauge g_ready (float_of_int st.Mifo_util.Wheel.ready);
-    Array.iteri
-      (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n))
-      st.Mifo_util.Wheel.occupancy
+  let st = Eventq.wheel_stats t.events in
+  Obs.set_gauge g_cascades (float_of_int st.Mifo_util.Wheel.cascades);
+  Obs.set_gauge g_ready (float_of_int st.Mifo_util.Wheel.ready);
+  Array.iteri
+    (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n))
+    st.Mifo_util.Wheel.occupancy
 
 (* Transmit a packet out of a node's port: tail-drop FIFO queue, then
    store-and-forward serialization and propagation.

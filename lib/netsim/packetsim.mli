@@ -28,14 +28,13 @@ type config = {
   series_interval : float;  (** aggregate-throughput bucket width *)
   tag_check : bool;  (** disable only for the loop ablation *)
   ibgp_encap : bool;  (** disable only for the iBGP-cycling ablation *)
-  eventq_engine : Eventq.engine;
-      (** {!Eventq.Wheel} (default) or {!Eventq.Heap}; both produce
-          bit-identical runs — the heap is the oracle, the wheel is
-          faster on packet-dominated event mixes *)
   packet_trains : bool;
       (** batch back-to-back departures on one link into a single
           queue entry (default [true]); behavior-neutral, see
-          {!Eventq.alloc_seq} *)
+          {!Eventq.alloc_seq}.  [false] schedules every departure as
+          its own event: that per-packet discipline is the oracle of
+          the packet-level differential tests, which require
+          bit-identical runs under both settings *)
 }
 
 val default_config : config

@@ -17,7 +17,7 @@
    [c_next]; freed cells form a free list through the same array, so
    steady-state scheduling allocates nothing.  The payload slot of a
    freed cell keeps its last value alive until the slot is reused — the
-   same retention the {!Heap} backing array exhibits.
+   same retention a binary heap's backing array exhibits.
 
    The "run" ([r_time]/[r_seq]/[r_payload]) holds the current tick's events sorted by
    (time, seq); events scheduled at or before [cur] are merge-inserted

@@ -22,7 +22,7 @@
     current tick are merge-inserted into the pending run at their sorted
     position.
 
-    Not domain-safe; confine a wheel to one domain (like {!Heap}). *)
+    Not domain-safe; confine a wheel to one domain. *)
 
 type 'a t
 

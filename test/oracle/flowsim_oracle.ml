@@ -1,20 +1,22 @@
 (* Reference flow simulator for {!Mifo_netsim.Flowsim.run}: the original
-   adaptation path, kept here as the oracle of the differential test in
-   [test_netsim].  Every epoch after the first it ranks all active flows
-   with a polymorphic closure sort, whatever the protocol; it picks
-   alternatives through the boxed RIB lists ([Routing.alternatives]) and
-   the generic [best_by] fold below; it numbers links through an
-   [(u * n + v)]-keyed [Hashtbl]; and it looks the flow's routing state
-   up in the table on every congested hop.  The production simulator
-   must return bit-identical results.  Input validation and the
-   observability counters are left to the production code. *)
+   adaptation path, kept here as the oracle of the differential tests in
+   [test_netsim] and of the flowsim rows of [bench/main.exe sim].  Every
+   epoch after the first it ranks all active flows with a polymorphic
+   closure sort, whatever the protocol; it picks alternatives through
+   the boxed RIB lists ([Routing.alternatives]) and the generic
+   [best_by] fold below; it numbers links through an [(u * n + v)]-keyed
+   [Hashtbl]; it looks the flow's routing state up in the table on
+   every congested hop; and it solves every epoch from scratch with the
+   reference allocator ({!Maxmin_ref}), so [solves = epochs].  The
+   production simulator must return bit-identical results.  Input
+   validation and the observability counters are left to the production
+   code. *)
 
 module As_graph = Mifo_topology.As_graph
 module Routing = Mifo_bgp.Routing
 module Routing_table = Mifo_bgp.Routing_table
 module Deployment = Mifo_core.Deployment
 module Policy = Mifo_core.Policy
-module Maxmin = Mifo_netsim.Maxmin
 module Flowsim = Mifo_netsim.Flowsim
 module Vec = Mifo_util.Vec
 
@@ -90,7 +92,6 @@ type flow = {
   mutable alt_time : float;
   mutable finish : float;
   mutable completed : bool;
-  mutable slot : int;
 }
 
 let path_links links_reg path =
@@ -122,13 +123,6 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
   let links_reg = Links.create g in
   let nlinks = Links.count links_reg in
   let capacities = Array.make nlinks params.link_capacity in
-  let solver =
-    match params.engine with
-    | Flowsim.Incremental ->
-      Some (Maxmin.Solver.create ~capacity:params.link_capacity ~nlinks ())
-    | Flowsim.Reference -> None
-  in
-  let dirty = ref true in
   let solves = ref 0 in
   let pending_failures =
     ref
@@ -150,12 +144,6 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
         let luv = Links.id links_reg u v and lvu = Links.id links_reg v u in
         capacities.(luv) <- dead_capacity;
         capacities.(lvu) <- dead_capacity;
-        (match solver with
-        | Some sv ->
-          Maxmin.Solver.set_capacity sv luv dead_capacity;
-          Maxmin.Solver.set_capacity sv lvu dead_capacity;
-          dirty := true
-        | None -> ());
         go ()
       | _ -> ()
     in
@@ -187,7 +175,6 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
       alt_time = 0.;
       finish = nan;
       completed = false;
-      slot = -1;
     }
   in
   let flows = Array.map make_flow order in
@@ -211,11 +198,6 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
   let switch_to f path =
     f.path <- path;
     f.links <- path_links links_reg path;
-    (match solver with
-    | Some sv when f.slot >= 0 ->
-      Maxmin.Solver.set_links sv f.slot (Maxmin.dedup_links f.links);
-      dirty := true
-    | _ -> ());
     f.switches <- f.switches + 1;
     let is_default = path == f.default_path || path = f.default_path in
     f.on_default <- is_default;
@@ -331,11 +313,6 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
     while !next_arrival < total && flows.(!next_arrival).spec.start <= !time +. 1e-12 do
       let f = flows.(!next_arrival) in
       Vec.push active f;
-      (match solver with
-      | Some sv ->
-        f.slot <- Maxmin.Solver.register sv (Maxmin.dedup_links f.links);
-        dirty := true
-      | None -> ());
       incr next_arrival
     done;
     Array.fill planned 0 nlinks 0.;
@@ -352,23 +329,12 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
         order;
       Array.iter adapt order
     end;
-    (match solver with
-    | Some sv ->
-      if !dirty || not params.skip_clean_epochs then begin
-        let slots = Array.init (Vec.length active) (fun i -> (Vec.get active i).slot) in
-        Maxmin.Solver.solve sv slots (Array.length slots);
-        dirty := false;
-        incr solves;
-        Vec.iter (fun f -> f.rate <- Maxmin.Solver.rate sv f.slot) active;
-        alloc := Maxmin.Solver.link_allocs sv
-      end
-    | None ->
-      let active_arr = Vec.to_array active in
-      let flow_links = Array.map (fun f -> f.links) active_arr in
-      let rates = Maxmin.allocate ~capacities ~flow_links in
-      Array.iteri (fun i f -> f.rate <- rates.(i)) active_arr;
-      incr solves;
-      alloc := Maxmin.link_allocation ~capacities ~flow_links ~rates);
+    let active_arr = Vec.to_array active in
+    let flow_links = Array.map (fun f -> f.links) active_arr in
+    let rates = Maxmin_ref.allocate ~capacities ~flow_links in
+    Array.iteri (fun i f -> f.rate <- rates.(i)) active_arr;
+    incr solves;
+    alloc := Maxmin_ref.link_allocation ~capacities ~flow_links ~rates;
     let aggregate = Vec.fold_left (fun acc f -> acc +. f.rate) 0. active in
     if !time -. !last_sample >= params.series_interval -. 1e-12 then begin
       Vec.push series (!time, aggregate);
@@ -395,15 +361,7 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
     let i = ref 0 in
     while !i < Vec.length active do
       let f = Vec.get active !i in
-      if f.completed then begin
-        ignore (Vec.swap_remove active !i);
-        match solver with
-        | Some sv ->
-          Maxmin.Solver.unregister sv f.slot;
-          f.slot <- -1;
-          dirty := true
-        | None -> ()
-      end
+      if f.completed then ignore (Vec.swap_remove active !i)
       else incr i
     done;
     time := !time +. params.dt;

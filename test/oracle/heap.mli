@@ -1,9 +1,9 @@
 (** Polymorphic binary min-heap.
 
-    Backs the simulators' event queues: O(log n) push/pop, amortized O(1)
-    space reuse via a growable array.  The order is given at creation
-    time, so one heap type serves both the packet-level event queue
-    (ordered by simulated time) and auxiliary priority queues. *)
+    O(log n) push/pop, amortized O(1) space reuse via a growable array;
+    the order is given at creation time.  Backs the oracle event queue
+    ({!Eventq_heap}) and the reference max-min allocator
+    ({!Maxmin_ref}). *)
 
 type 'a t
 

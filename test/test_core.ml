@@ -16,6 +16,7 @@ module Routing = Mifo_bgp.Routing
 module Relationship = Mifo_topology.Relationship
 module As_graph = Mifo_topology.As_graph
 module Generator = Mifo_topology.Generator
+module Flowsim_oracle = Mifo_oracle.Flowsim_oracle
 
 (* ---------- Deployment ---------- *)
 
@@ -276,9 +277,11 @@ let test_fib_size_and_gauge () =
   Alcotest.(check (float 1e-6)) "fib.entries gauge tracks net insertions" (base +. 1.)
     (Obs.gauge_value "fib.entries")
 
-(* Flat (open-addressed) and Hashed (legacy oracle) representations must
-   be observationally identical under arbitrary insert / remove /
-   set-alt / set-deflect churn. *)
+(* The production flat (open-addressed) store and the hashed oracle
+   store must be observationally identical under arbitrary insert /
+   remove / set-alt / set-deflect churn. *)
+module type FIB = Mifo_oracle.Fib_hashed.S
+
 let fib_universe =
   Array.map Prefix.of_string
     [|
@@ -294,40 +297,43 @@ let fib_probes =
       "192.168.7.42"; "192.168.1.1"; "203.0.113.9"; "8.8.8.8";
     |]
 
-let apply_fib_op fib (kind, pidx, a, b) =
-  let p = fib_universe.(pidx mod Array.length fib_universe) in
-  match kind with
-  | 0 ->
-    if b mod 3 = 0 then Fib.insert fib p ~out_port:(a land 15) ()
-    else Fib.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
-  | 1 -> ignore (Fib.remove fib p)
-  | 2 ->
-    (match Fib.find fib p with
-     | Some e -> Fib.set_deflect_buckets e (a mod (Fib.buckets + 1))
-     | None -> ())
-  | 3 ->
-    (match Fib.find fib p with
-     | Some _ -> Fib.set_alt fib p (if b land 1 = 0 then None else Some (32 + (b land 7)))
-     | None -> ())
-  | _ ->
-    (* ranked set of 0..5 candidate ports (possibly with negatives /
-       overflow, exercising drop+truncate+compact) *)
-    (match Fib.find fib p with
-     | Some e ->
-       let n = b mod 6 in
-       Fib.set_alts e (List.init n (fun i -> ((a + (7 * i)) land 31) - 4))
-     | None -> ())
+module Fib_ops (F : FIB) = struct
+  let apply fib (kind, pidx, a, b) =
+    let p = fib_universe.(pidx mod Array.length fib_universe) in
+    match kind with
+    | 0 ->
+      if b mod 3 = 0 then F.insert fib p ~out_port:(a land 15) ()
+      else F.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
+    | 1 -> ignore (F.remove fib p)
+    | 2 ->
+      (match F.find fib p with
+       | Some e -> F.set_deflect_buckets e (a mod (F.buckets + 1))
+       | None -> ())
+    | 3 ->
+      (match F.find fib p with
+       | Some _ -> F.set_alt fib p (if b land 1 = 0 then None else Some (32 + (b land 7)))
+       | None -> ())
+    | _ ->
+      (* ranked set of 0..5 candidate ports (possibly with negatives /
+         overflow, exercising drop+truncate+compact) *)
+      (match F.find fib p with
+       | Some e ->
+         let n = b mod 6 in
+         F.set_alts e (List.init n (fun i -> ((a + (7 * i)) land 31) - 4))
+       | None -> ())
 
-let fib_dump fib =
-  let acc = ref [] in
-  Fib.iter fib (fun p e ->
-      acc :=
-        ( Prefix.to_string p,
-          Fib.out_port e,
-          List.init Fib.max_alts (Fib.alt_at e),
-          Fib.deflect_buckets e )
-        :: !acc);
-  List.sort compare !acc
+  let entry_view e = (F.out_port e, List.init F.max_alts (F.alt_at e), F.deflect_buckets e)
+
+  let dump fib =
+    let acc = ref [] in
+    F.iter fib (fun p e -> acc := (Prefix.to_string p, entry_view e) :: !acc);
+    List.sort compare !acc
+
+  let lookup fib addr = Option.map entry_view (F.lookup fib addr)
+end
+
+module Flat_ops = Fib_ops (Fib)
+module Hashed_ops = Fib_ops (Mifo_oracle.Fib_hashed)
 
 let prop_fib_flat_matches_hashed =
   QCheck2.Test.make ~name:"fib: flat and hashed reps agree under churn" ~count:300
@@ -337,40 +343,31 @@ let prop_fib_flat_matches_hashed =
         (list_size (int_range 0 80)
            (quad (int_bound 4) (int_bound 1000) (int_bound 1000) (int_bound 1000))))
     (fun (early_removes, ops) ->
-      let flat = Fib.create ~rep:Fib.Flat () in
-      let hashed = Fib.create ~rep:Fib.Hashed () in
+      let flat = Fib.create () in
+      let hashed = Mifo_oracle.Fib_hashed.create () in
       (* removes on fresh tables, before any length was ever inserted *)
       List.iter
         (fun i ->
           let p = fib_universe.(i mod Array.length fib_universe) in
-          if Fib.remove flat p || Fib.remove hashed p then
+          if Fib.remove flat p || Mifo_oracle.Fib_hashed.remove hashed p then
             QCheck2.Test.fail_report "remove before the first insert found an entry")
         early_removes;
-      if Fib.size flat <> 0 || Fib.size hashed <> 0 then
+      if Fib.size flat <> 0 || Mifo_oracle.Fib_hashed.size hashed <> 0 then
         QCheck2.Test.fail_report "remove before the first insert changed the size";
       List.iter
         (fun op ->
-          apply_fib_op flat op;
-          apply_fib_op hashed op)
+          Flat_ops.apply flat op;
+          Hashed_ops.apply hashed op)
         ops;
-      if Fib.size flat <> Fib.size hashed then
+      if Fib.size flat <> Mifo_oracle.Fib_hashed.size hashed then
         QCheck2.Test.fail_report "sizes diverged";
-      if Fib.may_deflect flat <> Fib.may_deflect hashed then
+      if Fib.may_deflect flat <> Mifo_oracle.Fib_hashed.may_deflect hashed then
         QCheck2.Test.fail_report "may_deflect diverged";
-      if fib_dump flat <> fib_dump hashed then
+      if Flat_ops.dump flat <> Hashed_ops.dump hashed then
         QCheck2.Test.fail_report "iterated contents diverged";
       Array.iter
         (fun addr ->
-          let view fib =
-            match Fib.lookup fib addr with
-            | None -> None
-            | Some e ->
-              Some
-                ( Fib.out_port e,
-                  List.init Fib.max_alts (Fib.alt_at e),
-                  Fib.deflect_buckets e )
-          in
-          if view flat <> view hashed then
+          if Flat_ops.lookup flat addr <> Hashed_ops.lookup hashed addr then
             QCheck2.Test.fail_report "lookup diverged")
         fib_probes;
       true)
@@ -378,54 +375,54 @@ let prop_fib_flat_matches_hashed =
 (* Per-length levels of a fresh flat table share one empty sentinel
    until their first insert: reads and removes on untouched lengths must
    leave it empty, and an insert into one table must never show up in
-   another. *)
+   another.  The hashed oracle must behave the same. *)
 let test_fib_lazy_levels_isolated () =
   List.iter
-    (fun rep ->
-      let name what = Fib.rep_name rep ^ ": " ^ what in
+    (fun (store, (module F : FIB)) ->
+      let name what = store ^ ": " ^ what in
       let count fib =
         let n = ref 0 in
-        Fib.iter fib (fun _ _ -> incr n);
+        F.iter fib (fun _ _ -> incr n);
         !n
       in
       let empty fib what =
-        Alcotest.(check int) (name (what ^ " size")) 0 (Fib.size fib);
+        Alcotest.(check int) (name (what ^ " size")) 0 (F.size fib);
         Alcotest.(check int) (name (what ^ " iter")) 0 (count fib);
-        Alcotest.(check bool) (name (what ^ " may_deflect")) false (Fib.may_deflect fib);
+        Alcotest.(check bool) (name (what ^ " may_deflect")) false (F.may_deflect fib);
         Array.iter
           (fun addr ->
             Alcotest.(check bool) (name (what ^ " lookup misses")) true
-              (Fib.lookup fib addr = None))
+              (F.lookup fib addr = None))
           fib_probes;
         Array.iter
           (fun p ->
-            Alcotest.(check bool) (name (what ^ " find misses")) true (Fib.find fib p = None))
+            Alcotest.(check bool) (name (what ^ " find misses")) true (F.find fib p = None))
           fib_universe
       in
-      let a = Fib.create ~rep () and b = Fib.create ~rep () in
+      let a = F.create () and b = F.create () in
       Array.iter
         (fun p ->
-          Alcotest.(check bool) (name "remove on a fresh table") false (Fib.remove a p))
+          Alcotest.(check bool) (name "remove on a fresh table") false (F.remove a p))
         fib_universe;
       empty a "untouched a";
       empty b "untouched b";
-      Fib.insert a (Prefix.of_string "10.1.2.0/24") ~out_port:3 ~alt_port:5 ();
+      F.insert a (Prefix.of_string "10.1.2.0/24") ~out_port:3 ~alt_port:5 ();
       empty b "b after a's insert";
       Alcotest.(check bool) (name "b's /24 remove misses") false
-        (Fib.remove b (Prefix.of_string "10.1.2.0/24"));
-      Fib.insert b (Prefix.of_string "10.0.0.0/8") ~out_port:1 ();
+        (F.remove b (Prefix.of_string "10.1.2.0/24"));
+      F.insert b (Prefix.of_string "10.0.0.0/8") ~out_port:1 ();
       let out fib addr =
-        match Fib.lookup fib (Prefix.addr_of_string addr) with
-        | Some e -> Fib.out_port e
+        match F.lookup fib (Prefix.addr_of_string addr) with
+        | Some e -> F.out_port e
         | None -> -1
       in
       Alcotest.(check int) (name "a keeps its /24") 3 (out a "10.1.2.5");
       Alcotest.(check int) (name "a never sees b's /8") (-1) (out a "10.9.9.9");
       Alcotest.(check int) (name "b never sees a's /24") 1 (out b "10.1.2.5");
-      Alcotest.(check int) (name "a holds one entry") 1 (Fib.size a);
-      Alcotest.(check int) (name "b holds one entry") 1 (Fib.size b);
-      empty (Fib.create ~rep ()) "a table created afterwards")
-    [ Fib.Flat; Fib.Hashed ]
+      Alcotest.(check int) (name "a holds one entry") 1 (F.size a);
+      Alcotest.(check int) (name "b holds one entry") 1 (F.size b);
+      empty (F.create ()) "a table created afterwards")
+    [ ("flat", (module Fib : FIB)); ("hashed", (module Mifo_oracle.Fib_hashed : FIB)) ]
 
 (* MIFO_K_ALT is read on each call; a malformed value is an error that
    names the variable and the value.  Unix has no unsetenv, so the

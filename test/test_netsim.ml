@@ -15,6 +15,9 @@ module Deployment = Mifo_core.Deployment
 module Generator = Mifo_topology.Generator
 module As_graph = Mifo_topology.As_graph
 module Relationship = Mifo_topology.Relationship
+module Eventq_heap = Mifo_oracle.Eventq_heap
+module Maxmin_ref = Mifo_oracle.Maxmin_ref
+module Flowsim_oracle = Mifo_oracle.Flowsim_oracle
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -68,48 +71,60 @@ let prop_eventq_fifo_ties =
       in
       ordered (drain []))
 
+(* The production wheel queue and the heap oracle, behind one
+   interface so a test can drive either. *)
+module type EQ = Eventq_heap.S
+
+let queues = [ ("wheel", (module Eventq : EQ)); ("heap", (module Eventq_heap : EQ)) ]
+
 (* Regression: [clear] used to empty the queue but leave the sequence
    counter running, so a reused queue tie-broke differently from a
    fresh one — a determinism leak across resets. *)
 let test_eventq_clear_resets_seq () =
   List.iter
-    (fun engine ->
-      let q = Eventq.create ~engine () in
-      Eventq.schedule q ~time:1. "x";
-      Eventq.schedule q ~time:2. "y";
-      ignore (Eventq.pop_before q ~until:3.);
-      Eventq.clear q;
-      Alcotest.(check bool) "empty" true (Eventq.is_empty q);
-      check_float "last_time reset" 0. (Eventq.last_time q);
-      Eventq.schedule q ~time:4. "z";
-      (match Eventq.peek_key q with
+    (fun (name, (module Q : EQ)) ->
+      let what msg = name ^ ": " ^ msg in
+      let q = Q.create () in
+      Q.schedule q ~time:1. "x";
+      Q.schedule q ~time:2. "y";
+      ignore (Q.pop_before q ~until:3.);
+      Q.clear q;
+      Alcotest.(check bool) (what "empty") true (Q.is_empty q);
+      check_float (what "last_time reset") 0. (Q.last_time q);
+      Q.schedule q ~time:4. "z";
+      (match Q.peek_key q with
        | Some (t, s) ->
-         check_float "time" 4. t;
-         Alcotest.(check int) "seq restarts at 0" 0 s
-       | None -> Alcotest.fail "empty after schedule");
-      Alcotest.(check int) "peak length reset" 1 (Eventq.peak_length q))
-    [ Eventq.Heap; Eventq.Wheel ]
+         check_float (what "time") 4. t;
+         Alcotest.(check int) (what "seq restarts at 0") 0 s
+       | None -> Alcotest.fail (what "empty after schedule"));
+      Alcotest.(check int) (what "peak length reset") 1 (Q.peak_length q))
+    queues
 
 let test_eventq_pop_before_time_cell () =
   List.iter
-    (fun engine ->
-      let q = Eventq.create ~engine () in
-      let cell = Eventq.time_cell q in
-      Eventq.schedule q ~time:5e-6 "a";
-      Eventq.schedule q ~time:9e-6 "b";
-      Alcotest.(check (option string)) "beyond horizon" None
-        (Eventq.pop_before q ~until:1e-6);
-      Alcotest.(check (option string)) "within horizon" (Some "a")
-        (Eventq.pop_before q ~until:6e-6);
-      check_float "last_time" 5e-6 (Eventq.last_time q);
-      Alcotest.(check (option string)) "rest" (Some "b")
-        (Eventq.pop_before q ~until:Float.infinity);
-      check_float "shared cell tracks pops" 9e-6 cell.(0))
-    [ Eventq.Heap; Eventq.Wheel ]
+    (fun (name, (module Q : EQ)) ->
+      let what msg = name ^ ": " ^ msg in
+      let q = Q.create () in
+      let cell = Q.time_cell q in
+      Q.schedule q ~time:5e-6 "a";
+      Q.schedule q ~time:9e-6 "b";
+      Alcotest.(check (option string)) (what "beyond horizon") None
+        (Q.pop_before q ~until:1e-6);
+      Alcotest.(check (option string)) (what "within horizon") (Some "a")
+        (Q.pop_before q ~until:6e-6);
+      check_float (what "last_time") 5e-6 (Q.last_time q);
+      Alcotest.(check (option string)) (what "rest") (Some "b")
+        (Q.pop_before q ~until:Float.infinity);
+      check_float (what "shared cell tracks pops") 9e-6 cell.(0))
+    queues
 
-(* The tentpole's safety net at the API level: any interleaving of
-   schedules and pops — duplicate times, sub-tick spacings, far-future
-   outliers including +inf — pops bit-identically under both engines. *)
+(* The differential gate of the event queue: random interleavings of
+   every entry point the packet simulator calls — duplicate times,
+   sub-tick spacings, far-future outliers including +inf, sequence
+   numbers claimed ahead and scheduled out of order (packet trains),
+   horizon pops through the shared time cell, head-precedence probes at
+   and around the head key, resets — behave bit-identically on the
+   timing wheel and on the heap oracle. *)
 let eventq_time_gen =
   QCheck2.Gen.(
     frequency
@@ -119,40 +134,108 @@ let eventq_time_gen =
         (1, return Float.infinity);
       ])
 
+type eventq_op =
+  | Schedule of float
+  | Claim  (** [alloc_seq] *)
+  | Schedule_claimed of int * float  (** [schedule_pre] under a claimed seq *)
+  | Pop  (** [next] *)
+  | Pop_before of float
+  | Probe of float * int  (** [precedes_head] at an arbitrary key *)
+  | Probe_head of int  (** [precedes_head] at the head's key, seq shifted *)
+  | Clear
+
+let eventq_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, map (fun t -> Schedule t) eventq_time_gen);
+        (3, return Claim);
+        (3, map2 (fun i t -> Schedule_claimed (i, t)) (int_bound 7) eventq_time_gen);
+        (3, return Pop);
+        (4, map (fun t -> Pop_before t) eventq_time_gen);
+        (2, map2 (fun t s -> Probe (t, s)) eventq_time_gen (int_bound 60));
+        (2, map (fun d -> Probe_head d) (int_range (-1) 1));
+        (1, return Clear);
+      ])
+
 let prop_eventq_engines_agree =
   QCheck2.Test.make ~name:"eventq: heap and wheel pop identical sequences" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 250) (pair bool eventq_time_gen))
+    QCheck2.Gen.(list_size (int_range 1 250) eventq_op_gen)
     (fun ops ->
-      let qh = Eventq.create ~engine:Eventq.Heap () in
-      let qw = Eventq.create ~engine:Eventq.Wheel () in
-      let i = ref 0 and agree = ref true in
-      let pop_both () =
-        match (Eventq.next qh, Eventq.next qw) with
-        | None, None -> false
-        | Some (th, ph), Some (tw, pw) ->
-          if not (Int64.bits_of_float th = Int64.bits_of_float tw && ph = pw) then
-            agree := false;
-          true
-        | Some _, None | None, Some _ ->
-          agree := false;
-          false
+      let qh = Eventq_heap.create () in
+      let qw = Eventq.create () in
+      let ch = Eventq_heap.time_cell qh and cw = Eventq.time_cell qw in
+      let bits = Int64.bits_of_float in
+      let same_time a b = bits a = bits b in
+      let payload = ref 0 in
+      (* seqs claimed with [alloc_seq] and not yet scheduled *)
+      let claimed = ref [] in
+      let agree = ref true in
+      let expect ok = if not ok then agree := false in
+      let step op =
+        match op with
+        | Schedule t ->
+          Eventq_heap.schedule qh ~time:t !payload;
+          Eventq.schedule qw ~time:t !payload;
+          incr payload
+        | Claim ->
+          let sh = Eventq_heap.alloc_seq qh and sw = Eventq.alloc_seq qw in
+          expect (sh = sw);
+          claimed := !claimed @ [ sh ]
+        | Schedule_claimed (i, t) -> (
+          match !claimed with
+          | [] -> ()
+          | l ->
+            let seq = List.nth l (i mod List.length l) in
+            claimed := List.filter (fun s -> s <> seq) l;
+            Eventq_heap.schedule_pre qh ~time:t ~seq !payload;
+            Eventq.schedule_pre qw ~time:t ~seq !payload;
+            incr payload)
+        | Pop -> (
+          match (Eventq_heap.next qh, Eventq.next qw) with
+          | None, None -> ()
+          | Some (th, ph), Some (tw, pw) -> expect (same_time th tw && ph = pw)
+          | Some _, None | None, Some _ -> expect false)
+        | Pop_before until ->
+          let ph = Eventq_heap.pop_before qh ~until and pw = Eventq.pop_before qw ~until in
+          expect (ph = pw);
+          expect (same_time ch.(0) cw.(0));
+          expect (same_time (Eventq_heap.last_time qh) (Eventq.last_time qw))
+        | Probe (time, seq) ->
+          expect
+            (Eventq_heap.precedes_head qh ~time ~seq = Eventq.precedes_head qw ~time ~seq)
+        | Probe_head d ->
+          let time, seq =
+            match Eventq_heap.peek_key qh with None -> (0., 0) | Some (t, s) -> (t, s + d)
+          in
+          expect
+            (Eventq_heap.precedes_head qh ~time ~seq = Eventq.precedes_head qw ~time ~seq)
+        | Clear ->
+          Eventq_heap.clear qh;
+          Eventq.clear qw;
+          claimed := []
       in
       List.iter
-        (fun (pop, t) ->
-          if pop then ignore (pop_both ())
-          else begin
-            Eventq.schedule qh ~time:t !i;
-            Eventq.schedule qw ~time:t !i;
-            incr i
-          end)
+        (fun op ->
+          step op;
+          expect (Eventq_heap.length qh = Eventq.length qw);
+          expect (Eventq_heap.is_empty qh = Eventq.is_empty qw);
+          expect (Eventq_heap.peak_length qh = Eventq.peak_length qw);
+          expect
+            (match (Eventq_heap.peek_key qh, Eventq.peek_key qw) with
+             | None, None -> true
+             | Some (th, sh), Some (tw, sw) -> same_time th tw && sh = sw
+             | Some _, None | None, Some _ -> false))
         ops;
-      while pop_both () do () done;
-      !agree && Eventq.is_empty qh && Eventq.is_empty qw)
+      while not (Eventq_heap.is_empty qh && Eventq.is_empty qw) do
+        step Pop
+      done;
+      !agree)
 
 (* ---------- Maxmin ---------- *)
 
 let test_maxmin_two_flows_one_link () =
-  let rates = Maxmin.allocate ~capacities:[| 10. |] ~flow_links:[| [| 0 |]; [| 0 |] |] in
+  let rates = Maxmin_ref.allocate ~capacities:[| 10. |] ~flow_links:[| [| 0 |]; [| 0 |] |] in
   check_float "fair split" 5. rates.(0);
   check_float "fair split" 5. rates.(1)
 
@@ -160,7 +243,7 @@ let test_maxmin_classic () =
   (* classic example: links A(cap 10) and B(cap 4); flow1 on A+B, flow2 on
      B, flow3 on A.  Max-min: flow1 = flow2 = 2 (B bottleneck), flow3 = 8. *)
   let rates =
-    Maxmin.allocate ~capacities:[| 10.; 4. |]
+    Maxmin_ref.allocate ~capacities:[| 10.; 4. |]
       ~flow_links:[| [| 0; 1 |]; [| 1 |]; [| 0 |] |]
   in
   check_float "flow1" 2. rates.(0);
@@ -170,11 +253,11 @@ let test_maxmin_classic () =
 let test_maxmin_empty_path () =
   (* A flow crossing no link is unconstrained: infinity, explicitly —
      not the largest capacity of links it never touches. *)
-  let rates = Maxmin.allocate ~capacities:[| 7. |] ~flow_links:[| [||] |] in
+  let rates = Maxmin_ref.allocate ~capacities:[| 7. |] ~flow_links:[| [||] |] in
   Alcotest.(check bool) "unconstrained is infinite" true (rates.(0) = Float.infinity);
   (* and it must not rob constrained flows of anything *)
   let rates =
-    Maxmin.allocate ~capacities:[| 7. |] ~flow_links:[| [||]; [| 0 |]; [| 0 |] |]
+    Maxmin_ref.allocate ~capacities:[| 7. |] ~flow_links:[| [||]; [| 0 |]; [| 0 |] |]
   in
   Alcotest.(check bool) "still infinite beside others" true
     (rates.(0) = Float.infinity);
@@ -182,33 +265,33 @@ let test_maxmin_empty_path () =
   check_float "others unaffected" 3.5 rates.(2)
 
 let test_maxmin_all_empty_flows () =
-  let rates = Maxmin.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |] in
+  let rates = Maxmin_ref.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |] in
   Array.iter
     (fun r -> Alcotest.(check bool) "all unconstrained" true (r = Float.infinity))
     rates;
   (* no links at all: same answer, no division by a fold over nothing *)
-  let rates = Maxmin.allocate ~capacities:[||] ~flow_links:[| [||] |] in
+  let rates = Maxmin_ref.allocate ~capacities:[||] ~flow_links:[| [||] |] in
   Alcotest.(check bool) "no links" true (rates.(0) = Float.infinity);
   let alloc =
-    Maxmin.link_allocation ~capacities:[| 5.; 2. |]
+    Maxmin_ref.link_allocation ~capacities:[| 5.; 2. |]
       ~flow_links:[| [||]; [||] |]
-      ~rates:(Maxmin.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |])
+      ~rates:(Maxmin_ref.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |])
   in
   check_float "nothing allocated" 0. alloc.(0);
   check_float "nothing allocated" 0. alloc.(1)
 
 let test_maxmin_duplicate_links_counted_once () =
-  let rates = Maxmin.allocate ~capacities:[| 6. |] ~flow_links:[| [| 0; 0 |]; [| 0 |] |] in
+  let rates = Maxmin_ref.allocate ~capacities:[| 6. |] ~flow_links:[| [| 0; 0 |]; [| 0 |] |] in
   check_float "dedup" 3. rates.(0);
   check_float "dedup" 3. rates.(1)
 
 let test_maxmin_rejects_bad_input () =
   Alcotest.(check bool) "bad link id" true
-    (match Maxmin.allocate ~capacities:[| 1. |] ~flow_links:[| [| 3 |] |] with
+    (match Maxmin_ref.allocate ~capacities:[| 1. |] ~flow_links:[| [| 3 |] |] with
      | exception Invalid_argument _ -> true
      | _ -> false);
   Alcotest.(check bool) "negative capacity" true
-    (match Maxmin.allocate ~capacities:[| -1. |] ~flow_links:[||] with
+    (match Maxmin_ref.allocate ~capacities:[| -1. |] ~flow_links:[||] with
      | exception Invalid_argument _ -> true
      | _ -> false)
 
@@ -230,19 +313,19 @@ let prop_maxmin_feasible =
   QCheck2.Test.make ~name:"max-min allocation never exceeds capacity" ~count:300
     maxmin_instance_gen
     (fun (caps, flows) ->
-      let rates = Maxmin.allocate ~capacities:caps ~flow_links:flows in
+      let rates = Maxmin_ref.allocate ~capacities:caps ~flow_links:flows in
       (* link_allocation requires duplicate-free link sets *)
       let deduped = Array.map Maxmin.dedup_links flows in
-      let alloc = Maxmin.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
+      let alloc = Maxmin_ref.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
       Array.for_all2 (fun a c -> a <= c +. 1e-6) alloc caps)
 
 let prop_maxmin_bottleneck =
   QCheck2.Test.make ~name:"every flow has a saturated bottleneck where it is maximal"
     ~count:300 maxmin_instance_gen
     (fun (caps, flows) ->
-      let rates = Maxmin.allocate ~capacities:caps ~flow_links:flows in
+      let rates = Maxmin_ref.allocate ~capacities:caps ~flow_links:flows in
       let deduped = Array.map Maxmin.dedup_links flows in
-      let alloc = Maxmin.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
+      let alloc = Maxmin_ref.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
       let max_rate_on = Array.make (Array.length caps) 0. in
       Array.iteri
         (fun f links ->
@@ -284,10 +367,10 @@ let prop_solver_matches_reference =
     ~name:"Solver rates and link allocs are bit-identical to the reference"
     ~count:500 solver_instance_gen
     (fun (caps, flows) ->
-      let expect = Maxmin.allocate ~capacities:caps ~flow_links:flows in
+      let expect = Maxmin_ref.allocate ~capacities:caps ~flow_links:flows in
       let deduped = Array.map Maxmin.dedup_links flows in
       let expect_alloc =
-        Maxmin.link_allocation ~capacities:caps ~flow_links:deduped
+        Maxmin_ref.link_allocation ~capacities:caps ~flow_links:deduped
           ~rates:expect
       in
       let sv = Maxmin.Solver.create ~nlinks:(Array.length caps) () in
@@ -343,7 +426,7 @@ let prop_solver_slot_reuse =
       let ref_links =
         Array.map clamp (Array.append kept_links flows2)
       in
-      let expect = Maxmin.allocate ~capacities:caps ~flow_links:ref_links in
+      let expect = Maxmin_ref.allocate ~capacities:caps ~flow_links:ref_links in
       let got = Array.map (fun s -> Maxmin.Solver.rate sv s) active in
       exactly_equal expect got)
 
@@ -616,67 +699,6 @@ let test_flowsim_rejects_bad_specs () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-(* The incremental engine (with and without clean-epoch skipping) and
-   the reference engine must agree bit for bit on a full run — rates,
-   series, everything.  This is the determinism contract the 3x-epoch
-   speedup rests on: skipping a solve is only sound because re-running
-   it would reproduce the exact same floats. *)
-let test_flowsim_engines_bit_identical () =
-  let topo = Lazy.force topo in
-  let table = Lazy.force table in
-  let n = As_graph.n topo.Generator.graph in
-  (* long-lived flows (hundreds of epochs each) so that most epochs see
-     no arrival/completion/switch and are skippable *)
-  let flows =
-    Array.of_list
-      (List.map
-         (fun (src, dst, start) ->
-           { Flowsim.src; dst; size_bits = 4e8; start })
-         [
-           (100, 200, 0.); (101, 200, 0.1); (102, 200, 0.2); (150, 250, 0.3);
-           (151, 250, 2.0); (152, 250, 6.0); (103, 200, 6.1); (104, 200, 12.0);
-         ])
-  in
-  let run engine skip =
-    Flowsim.run
-      ~params:
-        {
-          quick_params with
-          Flowsim.engine;
-          skip_clean_epochs = skip;
-          max_time = 20.;
-        }
-      table
-      (Flowsim.Mifo (Deployment.full ~n))
-      flows
-  in
-  let skip_on = run Flowsim.Incremental true in
-  let skip_off = run Flowsim.Incremental false in
-  let reference = run Flowsim.Reference true in
-  let bits r =
-    Array.map Int64.bits_of_float (Flowsim.throughputs r)
-  in
-  Alcotest.(check (array int64))
-    "skip on = skip off" (bits skip_off) (bits skip_on);
-  Alcotest.(check (array int64))
-    "incremental = reference" (bits reference) (bits skip_off);
-  let series_bits (r : Flowsim.result) =
-    Array.concat
-      (List.map
-         (fun (t, v) -> [| Int64.bits_of_float t; Int64.bits_of_float v |])
-         (Array.to_list r.Flowsim.series))
-  in
-  Alcotest.(check (array int64))
-    "series identical" (series_bits reference) (series_bits skip_on);
-  Alcotest.(check int) "same epochs" reference.Flowsim.epochs skip_on.Flowsim.epochs;
-  (* the whole point: clean epochs were actually skipped *)
-  Alcotest.(check bool) "skipping happened" true
-    (skip_on.Flowsim.solves < skip_on.Flowsim.epochs);
-  Alcotest.(check int) "skip off solves every epoch"
-    skip_off.Flowsim.epochs skip_off.Flowsim.solves;
-  Alcotest.(check int) "reference solves every epoch"
-    reference.Flowsim.epochs reference.Flowsim.solves
-
 (* Series sampling must stay phase-locked to the interval grid.  With
    dt = 0.01 and interval = 0.025, anchoring the cursor at the (dt-
    quantized) epoch time drifts the effective period to 0.03 — a 20%
@@ -743,12 +765,19 @@ let test_flowsim_param_validation () =
   reject "congest_threshold" { d with Flowsim.congest_threshold = Float.nan };
   reject "clear_threshold" { d with Flowsim.clear_threshold = Float.nan }
 
-(* Every field of two results, floats compared bit for bit. *)
+(* Every field of a production result against the oracle's, floats
+   compared bit for bit.  The oracle solves every epoch; production may
+   skip clean ones but never solves more. *)
 let check_same_result what (expected : Flowsim.result) (got : Flowsim.result) =
   let bits = Int64.bits_of_float in
   let f64 name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
   Alcotest.(check int) (what ^ ": epochs") expected.Flowsim.epochs got.Flowsim.epochs;
-  Alcotest.(check int) (what ^ ": solves") expected.Flowsim.solves got.Flowsim.solves;
+  Alcotest.(check int) (what ^ ": oracle solves every epoch") expected.Flowsim.epochs
+    expected.Flowsim.solves;
+  Alcotest.(check bool)
+    (what ^ ": production solves no more than the oracle")
+    true
+    (got.Flowsim.solves <= expected.Flowsim.solves);
   f64 "sim_end" expected.Flowsim.sim_end got.Flowsim.sim_end;
   f64 "offload" expected.Flowsim.offload_fraction got.Flowsim.offload_fraction;
   let series (r : Flowsim.result) =
@@ -785,6 +814,32 @@ let run_both ?params ?failures what table protocol flows =
   let got = Flowsim.run ?params ?failures table protocol flows in
   check_same_result what (Flowsim_oracle.run ?params ?failures table protocol flows) got;
   got
+
+(* The production simulator skips the solve on clean epochs; the oracle
+   solves every epoch with the reference allocator.  They must agree
+   bit for bit on a full run — rates, series, everything.  This is the
+   determinism contract the skipping rests on: skipping a solve is only
+   sound because re-running it would reproduce the exact same floats. *)
+let test_flowsim_engines_bit_identical () =
+  let topo = Lazy.force topo in
+  let table = Lazy.force table in
+  let n = As_graph.n topo.Generator.graph in
+  (* long-lived flows (hundreds of epochs each) so that most epochs see
+     no arrival/completion/switch and are skippable *)
+  let flows =
+    Array.of_list
+      (List.map
+         (fun (src, dst, start) ->
+           { Flowsim.src; dst; size_bits = 4e8; start })
+         [
+           (100, 200, 0.); (101, 200, 0.1); (102, 200, 0.2); (150, 250, 0.3);
+           (151, 250, 2.0); (152, 250, 6.0); (103, 200, 6.1); (104, 200, 12.0);
+         ])
+  in
+  let params = { quick_params with Flowsim.max_time = 20. } in
+  let r = run_both ~params "long-lived" table (Flowsim.Mifo (Deployment.full ~n)) flows in
+  (* the whole point: clean epochs were actually skipped *)
+  Alcotest.(check bool) "skipping happened" true (r.Flowsim.solves < r.Flowsim.epochs)
 
 (* Deflection gadget toward D = 0.  S = 4 reaches D over two hops via
    each of its customers C = 1 (the default, lower id) and C2 = 7, its
@@ -964,9 +1019,9 @@ let prop_flowsim_matches_oracle =
       quad
         (pair (int_range 12 120) (int_bound 1000))
         (pair (int_bound 2) (float_bound_inclusive 1.))
-        (triple bool bool bool)
+        bool
         (pair (int_range 2 60) (list_size (int_bound 3) (pair (int_bound 1000) (float_bound_inclusive 1.)))))
-    (fun ((ases, seed), (proto, ratio), (oracle_sel, reference, skip), (count, cuts)) ->
+    (fun ((ases, seed), (proto, ratio), oracle_sel, (count, cuts)) ->
       let g =
         (Generator.generate
            ~params:
@@ -1007,8 +1062,6 @@ let prop_flowsim_matches_oracle =
           Flowsim.max_time = 2.;
           miro_reaction = 0.1;
           alt_selection = (if oracle_sel then Flowsim.Oracle_bottleneck else Flowsim.Greedy_local);
-          engine = (if reference then Flowsim.Reference else Flowsim.Incremental);
-          skip_clean_epochs = skip;
         }
       in
       ignore (run_both ~params ~failures "generated" table protocol flows);
@@ -1077,12 +1130,12 @@ let test_packetsim_two_flows_share () =
       | None -> Alcotest.fail "did not finish")
     results
 
-(* End-to-end bit-identity of the eventq engines: the same workload —
-   a TCP transfer with queue drops and retransmissions plus an
-   open-loop UDP blast — must produce identical observable results
-   under every (engine x packet_trains) combination.  The heap with
-   per-packet scheduling is the oracle; the wheel with trains is the
-   production fast path. *)
+(* End-to-end bit-identity of packet trains: the same workload — a TCP
+   transfer with queue drops and retransmissions plus an open-loop UDP
+   blast — must produce identical observable results with and without
+   trains.  Per-packet scheduling is the oracle; trains are the
+   production fast path.  (The queue under both is the timing wheel,
+   whose equivalence to the heap oracle is the eventq gate.) *)
 let pkt_fingerprint sim =
   let finishes =
     Array.map
@@ -1095,14 +1148,9 @@ let pkt_fingerprint sim =
   (Packetsim.events_processed sim, finishes, Packetsim.counters sim)
 
 let test_packetsim_engines_bit_identical () =
-  let run engine trains =
+  let run trains =
     let config =
-      {
-        Packetsim.default_config with
-        Packetsim.eventq_engine = engine;
-        packet_trains = trains;
-        queue_bits = 100_000;
-      }
+      { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
     in
     let sim, h1, h2 = line_network ~config ~rate:1e8 () in
     let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
@@ -1112,15 +1160,8 @@ let test_packetsim_engines_bit_identical () =
     Alcotest.(check bool) "small queue forces drops" true (c.Packetsim.dropped_queue > 0);
     pkt_fingerprint sim
   in
-  let oracle = run Eventq.Heap false in
-  List.iter
-    (fun (engine, trains) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s/trains=%b bit-identical to the heap oracle"
-           (Eventq.engine_name engine) trains)
-        true
-        (run engine trains = oracle))
-    [ (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ]
+  Alcotest.(check bool) "trains bit-identical to per-packet scheduling" true
+    (run true = run false)
 
 let test_packetsim_ttl_on_routing_loop () =
   (* misconfigured FIBs that point at each other: packets must die by TTL,
@@ -1281,13 +1322,11 @@ let test_packetsim_ranked_chooser () =
    same router at the same instant (symmetric links, symmetric sources),
    and the link toward the sink has room for one segment.  Flow A was
    added first, so its segment is scheduled first and wins the queue;
-   B's is tail-dropped.  Every engine and train setting must break the
+   B's is tail-dropped.  Trains and per-packet scheduling must break the
    tie the same way. *)
 let test_packetsim_same_instant_tie () =
-  let run ~engine ~trains =
-    let config =
-      { Packetsim.default_config with Packetsim.eventq_engine = engine; packet_trains = trains }
-    in
+  let run ~trains =
+    let config = { Packetsim.default_config with Packetsim.packet_trains = trains } in
     let sim = Packetsim.create ~config () in
     let ha = Packetsim.add_host sim ~addr:(Prefix.host_of_as 1 1) in
     let hb = Packetsim.add_host sim ~addr:(Prefix.host_of_as 2 1) in
@@ -1330,18 +1369,16 @@ let test_packetsim_same_instant_tie () =
       c.Packetsim.dropped_queue )
   in
   List.iter
-    (fun (engine, trains) ->
-      let a_won, b_won, delivered, dropped = run ~engine ~trains in
-      let what msg =
-        Printf.sprintf "%s (%s, trains=%b)" msg (Eventq.engine_name engine) trains
-      in
+    (fun trains ->
+      let a_won, b_won, delivered, dropped = run ~trains in
+      let what msg = Printf.sprintf "%s (trains=%b)" msg trains in
       Alcotest.(check bool) (what "first-added flow wins the tie") true a_won;
       Alcotest.(check bool) (what "second flow loses the queue race") false b_won;
       Alcotest.(check int) (what "one segment through") 1 delivered;
       Alcotest.(check int) (what "one segment tail-dropped") 1 dropped)
-    [ (Eventq.Heap, false); (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ]
+    [ false; true ]
 
-(* Random dumbbells for the engine identity gate: n_l + n_r stub ASes
+(* Random dumbbells for the trains identity gate: n_l + n_r stub ASes
    (one router + one host each) joined through two core routers over a
    narrow bottleneck.  Per-stub delay jitter spreads the arrivals over
    distinct times; the tiny core rate forces queue drops. *)
@@ -1411,16 +1448,11 @@ let dumbbell_obs_keys =
     "daemon.buckets_reset";
   ]
 
-(* One run of a generated workload under (engine, trains); returns the
+(* One run of a generated workload with or without trains; returns the
    full observable fingerprint including Obs counter deltas. *)
-let run_dumbbell ~engine ~trains (n_l, n_r, flow_specs) =
+let run_dumbbell ~trains (n_l, n_r, flow_specs) =
   let config =
-    {
-      Packetsim.default_config with
-      Packetsim.eventq_engine = engine;
-      packet_trains = trains;
-      queue_bits = 100_000;
-    }
+    { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
   in
   let sim, lh, rh = dumbbell_network ~config ~n_l ~n_r () in
   List.iteri
@@ -1446,23 +1478,18 @@ let run_dumbbell ~engine ~trains (n_l, n_r, flow_specs) =
   in
   (pkt_fingerprint sim, obs_delta, series, Packetsim.path_switches sim)
 
-(* The 2x2 gate: heap/wheel x trains on/off, all bit-identical
-   (counters, finish times, event counts, goodput series, Obs counters)
-   to the heap no-trains oracle on random dumbbells with drops and UDP
-   blasts. *)
+(* The trains gate: trains bit-identical (counters, finish times, event
+   counts, goodput series, Obs counters) to the per-packet oracle on
+   random dumbbells with drops and UDP blasts. *)
 let prop_packetsim_engines_identical =
-  QCheck2.Test.make ~name:"packetsim: engine x trains bit-identical"
+  QCheck2.Test.make ~name:"packetsim: trains bit-identical to per-packet"
     ~count:6
     QCheck2.Gen.(
       triple (int_range 2 3) (int_range 2 3)
         (list_size (int_range 2 6)
            (tup6 bool (int_bound 3) (int_bound 3) (int_range 12 120)
               (int_bound 10) bool)))
-    (fun w ->
-      let oracle = run_dumbbell ~engine:Eventq.Heap ~trains:false w in
-      List.for_all
-        (fun (engine, trains) -> run_dumbbell ~engine ~trains w = oracle)
-        [ (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ])
+    (fun w -> run_dumbbell ~trains:true w = run_dumbbell ~trains:false w)
 
 let () =
   Alcotest.run "mifo_netsim"
@@ -1545,7 +1572,7 @@ let () =
           Alcotest.test_case "goodput series conserves bytes" `Quick test_packetsim_goodput_series;
           Alcotest.test_case "two flows share a link" `Quick test_packetsim_two_flows_share;
           Alcotest.test_case "routing loop dies by ttl" `Quick test_packetsim_ttl_on_routing_loop;
-          Alcotest.test_case "eventq engines bit-identical end to end" `Quick
+          Alcotest.test_case "trains bit-identical to per-packet end to end" `Quick
             test_packetsim_engines_bit_identical;
           Alcotest.test_case "tunnel transits an intermediate router" `Quick
             test_packetsim_tunnel_transit;

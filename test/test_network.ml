@@ -11,6 +11,7 @@ module Engine = Mifo_core.Engine
 module Packet = Mifo_core.Packet
 module Packetsim = Mifo_netsim.Packetsim
 module As_network = Mifo_netsim.As_network
+module As_network_oracle = Mifo_oracle.As_network_oracle
 module Fib = Mifo_core.Fib
 module Obs = Mifo_util.Obs
 module Router_network = Mifo_netsim.Router_network

@@ -4,7 +4,7 @@ module Prng = Mifo_util.Prng
 module Parallel = Mifo_util.Parallel
 module Stats = Mifo_util.Stats
 module Dist = Mifo_util.Dist
-module Heap = Mifo_util.Heap
+module Heap = Mifo_oracle.Heap
 module Wheel = Mifo_util.Wheel
 module Union_find = Mifo_util.Union_find
 module Vec = Mifo_util.Vec
