@@ -110,7 +110,7 @@ let report path line_no line msg =
   incr findings;
   Printf.printf "%s:%d: %s\n  %s\n" path line_no msg (String.trim line)
 
-let lint_file path =
+let read_lines path =
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -118,7 +118,10 @@ let lint_file path =
        lines := input_line ic :: !lines
      done
    with End_of_file -> close_in ic);
-  let lines = Array.of_list (List.rev !lines) in
+  Array.of_list (List.rev !lines)
+
+let lint_file path =
+  let lines = read_lines path in
   let dir = Filename.basename (Filename.dirname path) in
   let on_hot_path = List.mem dir hot_path_dirs in
   let no_hashtbl =
@@ -170,17 +173,12 @@ let is_production_dune path =
   && (List.mem "lib" parts || (match parts with "bin" :: _ -> true | _ -> false))
 
 let lint_dune path =
-  let ic = open_in path in
-  let line_no = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr line_no;
-       if contains ~sub:oracle_library line then
-         report path !line_no line
-           (oracle_library ^ ": production code must not link the oracle library")
-     done
-   with End_of_file -> close_in ic)
+  Array.iteri
+    (fun i line ->
+      if contains ~sub:oracle_library line then
+        report path (i + 1) line
+          (oracle_library ^ ": production code must not link the oracle library"))
+    (read_lines path)
 
 let rec walk path =
   if Sys.is_directory path then

@@ -185,42 +185,31 @@ let arena_alloc fl key ~out_port ~alt =
   fl.a_defl.(id) <- 0;
   id
 
-(* Outcome of a store-level insert, so [insert] can maintain the
-   alt-entry count without re-probing. *)
-type insert_effect = { created : bool; had_alt : bool; has_alt : bool }
+let[@inline] note_alt_transition t ~had ~has =
+  if had && not has then t.alt_entries <- t.alt_entries - 1
+  else if has && not had then t.alt_entries <- t.alt_entries + 1
 
-(* Refresh/replace semantics, applied to one entry whose current primary alternative is [cur0]:
-   - same [out_port]: the call's [alt] hint is authoritative for the
-     single-alt API.  [-1] (no alternative) clears the whole ranked set
-     and resets the deflection level; a hint equal to the current
-     primary preserves the live ranked set and deflection state; a new
-     primary replaces the set with the singleton and restarts the ramp.
-   - changed [out_port]: full route change — set and ramp reset. *)
-let refresh_action ~same_out ~cur0 ~alt =
-  if not same_out then `Replace
-  else if alt < 0 then `Clear
-  else if alt = cur0 then `Keep
-  else `Replace
-
-let flat_insert fl key ~out_port ~alt =
+(* Install or refresh [key] in [t]'s level [fl].  A refresh with the
+   same [out_port] takes the call's [alt] hint as authoritative for the
+   single-alt API: [-1] (no alternative) clears the whole ranked set
+   and resets the deflection level; a hint equal to the current primary
+   preserves the live ranked set and deflection state; a new primary
+   replaces the set with the singleton and restarts the ramp.  A
+   changed [out_port] is a full route change: set and ramp reset. *)
+let flat_insert t fl key ~out_port ~alt =
   match find_index fl key with
   | i when i >= 0 ->
     let id = fl.idx_id.(i) in
     let base = id * max_alts in
-    let had_alt = fl.a_alt.(base) >= 0 in
-    (match
-       refresh_action ~same_out:(fl.a_out.(id) = out_port) ~cur0:fl.a_alt.(base) ~alt
-     with
-    | `Keep -> ()
-    | `Clear ->
-      clear_alt_slots fl.a_alt base;
-      fl.a_defl.(id) <- 0
-    | `Replace ->
+    let had = fl.a_alt.(base) >= 0 in
+    let same_out = fl.a_out.(id) = out_port in
+    if not (same_out && alt >= 0 && alt = fl.a_alt.(base)) then begin
       fl.a_out.(id) <- out_port;
       clear_alt_slots fl.a_alt base;
-      fl.a_alt.(base) <- alt;
-      fl.a_defl.(id) <- 0);
-    { created = false; had_alt; has_alt = fl.a_alt.(base) >= 0 }
+      if alt >= 0 || not same_out then fl.a_alt.(base) <- alt;
+      fl.a_defl.(id) <- 0
+    end;
+    note_alt_transition t ~had ~has:(fl.a_alt.(base) >= 0)
   | _ ->
     if 4 * (fl.f_live + 1) > 3 * fl.cap then
       rebuild_index fl (Stdlib.max 16 (2 * fl.cap));
@@ -233,7 +222,9 @@ let flat_insert fl key ~out_port ~alt =
     fl.idx_key.(!i) <- key;
     fl.idx_id.(!i) <- id;
     fl.f_live <- fl.f_live + 1;
-    { created = true; had_alt = false; has_alt = alt >= 0 }
+    t.count <- t.count + 1;
+    Obs.add_gauge g_entries 1.;
+    note_alt_transition t ~had:false ~has:(alt >= 0)
 
 (* Backward-shift deletion: close the probe chain over the hole so
    later lookups never hit a false empty slot.  Returns the freed
@@ -282,15 +273,7 @@ let insert t prefix ~out_port ?alt_port () =
       fl
     end
   in
-  let eff = flat_insert fl key ~out_port ~alt in
-  if eff.created then begin
-    t.count <- t.count + 1;
-    Obs.add_gauge g_entries 1.
-  end;
-  (match (eff.had_alt, eff.has_alt) with
-  | false, true -> t.alt_entries <- t.alt_entries + 1
-  | true, false -> t.alt_entries <- t.alt_entries - 1
-  | _ -> ());
+  flat_insert t fl key ~out_port ~alt;
   t.len_mask <- t.len_mask lor (1 lsl len)
 
 let remove t prefix =
@@ -379,10 +362,6 @@ let alt_count e =
   else 4
 
 let[@inline] deflect_buckets e = e.fl.a_defl.(e.id)
-
-let[@inline] note_alt_transition t ~had ~has =
-  if had && not has then t.alt_entries <- t.alt_entries - 1
-  else if has && not had then t.alt_entries <- t.alt_entries + 1
 
 (* Write the ranked set [ports] into the entry's slots: negatives are
    skipped, the rest kept in order, truncated at [max_alts], compacted,

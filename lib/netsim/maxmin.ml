@@ -282,9 +282,8 @@ module Solver = struct
         end
       end
     done;
-    (* link allocation, folded into the same pass structure as the
-       reference [link_allocation]: flows in caller order, so the
-       per-link sums accumulate in the same order and round identically *)
+    (* per-link allocation, summed over flows in caller order — the
+       reference allocator's order, so the sums round identically *)
     for i = 0 to n - 1 do
       let s = active.(i) in
       let r = t.rates.(s) in

@@ -4,6 +4,16 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* AS numbers are 32-bit unsigned (RFC 6793) in plain decimal.
+   [int_of_string] alone would also take a sign, a radix prefix, [_]
+   separators and values past 2^32 - 1. *)
+let parse_asn lineno field s =
+  let t = String.trim s in
+  let decimal = t <> "" && String.for_all (fun c -> c >= '0' && c <= '9') t in
+  match if decimal then int_of_string_opt t else None with
+  | Some v when v <= 0xFFFF_FFFF -> v
+  | _ -> fail lineno (Printf.sprintf "bad %s %S" field s)
+
 let parse_string text =
   let ids = Hashtbl.create 1024 in
   let numbers = Mifo_util.Vec.create () in
@@ -27,17 +37,13 @@ let parse_string text =
       if line <> "" && line.[0] <> '#' then begin
         match String.split_on_char '|' line with
         | [ a; b; r ] | a :: b :: r :: _ :: [] ->
-          let parse_int field s =
-            match int_of_string_opt (String.trim s) with
-            | Some v -> v
-            | None -> fail lineno (Printf.sprintf "bad %s %S" field s)
-          in
-          let a = parse_int "AS number" a and b = parse_int "AS number" b in
+          let a = parse_asn lineno "first AS number" a in
+          let b = parse_asn lineno "second AS number" b in
           let kind =
-            match parse_int "relationship" r with
-            | -1 -> As_graph.Provider_customer
-            | 0 -> As_graph.Peer_peer
-            | other -> fail lineno (Printf.sprintf "unknown relationship %d" other)
+            match String.trim r with
+            | "-1" -> As_graph.Provider_customer
+            | "0" -> As_graph.Peer_peer
+            | other -> fail lineno (Printf.sprintf "unknown relationship %S" other)
           in
           if a = b then fail lineno (Printf.sprintf "self-loop on AS%d" a);
           let key = if a < b then (a, b) else (b, a) in

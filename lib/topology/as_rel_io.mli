@@ -6,8 +6,12 @@
     paper's Nov. 2014 UCLA IRL trace) ship in this format, so a user can
     swap the synthetic graph for a real one without code changes.
 
-    Arbitrary AS numbers in the file are mapped to the dense ids
-    {!As_graph} uses; the mapping is returned alongside the graph. *)
+    AS numbers are plain decimal in \[0, 4294967295\] (32-bit ASNs); a
+    sign, a radix prefix, [_] separators or a larger value is a
+    {!Parse_error} naming the line and the field.  The relationship is
+    exactly [-1] or [0].  The AS numbers in the file are mapped to the
+    dense ids {!As_graph} uses; the mapping is returned alongside the
+    graph. *)
 
 type loaded = {
   graph : As_graph.t;

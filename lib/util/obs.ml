@@ -311,10 +311,11 @@ module Json = struct
            | 'f' -> Buffer.add_char buf '\012'
            | 'u' ->
              if !pos + 4 > n then fail "truncated \\u escape";
-             let code =
-               try int_of_string ("0x" ^ String.sub s !pos 4)
-               with _ -> fail "bad \\u escape"
-             in
+             let digits = String.sub s !pos 4 in
+             (* [int_of_string] alone would also take [_] separators *)
+             let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+             if not (String.for_all hex digits) then fail "bad \\u escape";
+             let code = int_of_string ("0x" ^ digits) in
              pos := !pos + 4;
              (* Pass low codepoints through; anything else becomes '?'
                 — we only need round-tripping of our own output, which

@@ -154,13 +154,15 @@ let parallel_for pool ~lo ~hi f =
 
 let parallel_map pool f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else if pool.n_jobs = 1 || n = 1 then Array.map f arr
+  if pool.n_jobs = 1 || n <= 1 then Array.map f arr
   else begin
-    let first = f arr.(0) in
-    let out = Array.make n first in
-    parallel_for pool ~lo:1 ~hi:n (fun i -> out.(i) <- f arr.(i));
-    out
+    (* Every element goes through the batch into its own slot.  Seeding
+       the output array with [f arr.(0)] on the caller would run that
+       element before the batch starts: a 2-element map would be fully
+       serial. *)
+    let slots = Array.make n None in
+    parallel_for pool ~lo:0 ~hi:n (fun i -> slots.(i) <- Some (f arr.(i)));
+    Array.map Option.get slots
   end
 
 (* The shared pool.  Guarded by a mutex: the first caller builds it;

@@ -58,9 +58,10 @@ val parallel_for : pool -> lo:int -> hi:int -> (int -> unit) -> unit
 
 val parallel_map : pool -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f arr] is [Array.map f arr] with the elements
-    processed in parallel; result slots are assigned by index, so the
-    output is identical to the serial map.  Exception behaviour as in
-    {!parallel_for}. *)
+    processed in parallel — every element, the first included, runs in
+    the pool's batch, so two elements can overlap.  Result slots are
+    assigned by index, so the output is identical to the serial map.
+    Exception behaviour as in {!parallel_for}. *)
 
 val shutdown : pool -> unit
 (** Terminate and join the pool's worker domains.  The pool must not be

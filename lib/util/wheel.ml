@@ -357,26 +357,6 @@ let pop_before t ~until ~cell =
     end
   end
 
-(* Allocation-free head access for the event-dispatch hot loop.  The
-   [head_*] accessors and [drop] require a nonempty wheel; [ensure_run]
-   is idempotent, so each is safe to call in any order after checking
-   {!is_empty}. *)
-
-let head_time t =
-  ensure_run t;
-  t.r_time.(t.r_cursor)
-
-let head_payload t =
-  ensure_run t;
-  t.r_payload.(t.r_cursor)
-
-let drop t =
-  ensure_run t;
-  if t.r_cursor < t.r_len then begin
-    t.r_cursor <- t.r_cursor + 1;
-    t.count <- t.count - 1
-  end
-
 let precedes t ~time ~seq =
   ensure_run t;
   t.r_cursor >= t.r_len

@@ -53,18 +53,6 @@ val pop : 'a t -> (float * int * 'a) option
 val peek : 'a t -> (float * int) option
 (** Key of the next event without removing it. *)
 
-val head_time : 'a t -> float
-(** Time of the next event, without removing it or allocating.
-    Undefined (may raise) on an empty wheel — check {!is_empty} first. *)
-
-val head_payload : 'a t -> 'a
-(** Payload of the next event, same contract as {!head_time}. *)
-
-val drop : 'a t -> unit
-(** Remove the next event without returning it (no-op when empty) — the
-    allocation-free counterpart of {!pop} for callers that already read
-    the head via {!head_time}/{!head_payload}. *)
-
 val pop_before : 'a t -> until:float -> cell:float array -> 'a option
 (** Pop the head event only if its time is [<= until]; on success the
     popped time is written to [cell.(0)] (a flat store — a float

@@ -1,6 +1,8 @@
-(* The binary-heap event queue: the original [Eventq.Heap] backend,
-   with the same [(time, seq)] keys and the same validation as the
-   production timing-wheel queue. *)
+(* The binary-heap event queue: O(log n) per operation, no time
+   quantization.  It is the oracle the production timing-wheel
+   {!Mifo_netsim.Eventq} is compared against, with the same
+   [(time, seq)] keys and validation; [S] is the interface both
+   implement, so one test can drive either. *)
 
 module type S = sig
   type 'a t

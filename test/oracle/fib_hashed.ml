@@ -1,7 +1,10 @@
-(* The hashed FIB store, formerly [Fib.create ~rep:Hashed]: per prefix
-   length an [(masked network, boxed entry)] Hashtbl, longest-prefix
-   match by scanning the lengths present from the longest down.  The
-   bucket and slot-spreading functions are the production ones. *)
+(* The hashed FIB store: per prefix length an [(masked network, boxed
+   entry)] Hashtbl, longest-prefix match by probing every length from
+   /32 down.  It is the oracle the flat open-addressed {!Mifo_core.Fib}
+   is compared against: same semantics for every operation of [S],
+   which both modules implement ([iter] order differs).  The bucket and
+   slot-spreading functions are the production ones; the [fib.entries]
+   gauge is not fed. *)
 
 module Prefix = Mifo_bgp.Prefix
 module Fib = Mifo_core.Fib
@@ -22,16 +25,10 @@ module type S = sig
   val size : t -> int
   val may_deflect : t -> bool
   val out_port : entry -> int
-  val alt_port : entry -> int option
-  val alt_port_id : entry -> int
-  val alt_count : entry -> int
   val alt_at : entry -> int -> int
   val deflect_buckets : entry -> int
-  val set_alt_port : entry -> int option -> unit
   val set_alts : entry -> int list -> unit
   val set_deflect_buckets : entry -> int -> unit
-  val deflects : entry -> flow:int -> bool
-  val alt_for_flow : entry -> flow:int -> int
 end
 
 let buckets = Fib.buckets
@@ -56,42 +53,38 @@ let may_deflect t = t.alt_entries > 0
 let key_of_addr addr = Int32.to_int addr land 0xFFFFFFFF
 let mask len = if len = 0 then 0 else 0xFFFFFFFF lsl (32 - len) land 0xFFFFFFFF
 
-let note_alt_transition t ~had ~has =
+(* Run [f] on [b] and keep [t]'s alt-entry count exact. *)
+let tracking_alts t b f =
+  let had = b.b_alt.(0) >= 0 in
+  f ();
+  let has = b.b_alt.(0) >= 0 in
   if had && not has then t.alt_entries <- t.alt_entries - 1
   else if has && not had then t.alt_entries <- t.alt_entries + 1
 
-let clear_alts b = Array.fill b.b_alt 0 max_alts (-1)
+let reset b ~alt =
+  Array.fill b.b_alt 0 max_alts (-1);
+  b.b_alt.(0) <- alt;
+  b.b_defl <- 0
 
-let insert t prefix ~out_port ?alt_port () =
+(* A route change replaces the entry; a refresh without an alternative
+   clears the ranked set; a refresh naming the current first
+   alternative keeps the daemon's state; any other refresh installs
+   the new alternative alone. *)
+let insert t prefix ~out_port ?(alt_port = -1) () =
   let table = t.tables.(prefix.Prefix.length) in
   let key = key_of_addr prefix.Prefix.network in
-  let alt = match alt_port with None -> -1 | Some p -> p in
   match Hashtbl.find_opt table key with
   | Some b ->
-    let had = b.b_alt.(0) >= 0 in
-    if b.b_out <> out_port then begin
-      (* route change: the entry is replaced outright *)
-      b.b_out <- out_port;
-      clear_alts b;
-      b.b_alt.(0) <- alt;
-      b.b_defl <- 0
-    end
-    else if alt < 0 then begin
-      clear_alts b;
-      b.b_defl <- 0
-    end
-    else if alt <> b.b_alt.(0) then begin
-      clear_alts b;
-      b.b_alt.(0) <- alt;
-      b.b_defl <- 0
-    end;
-    note_alt_transition t ~had ~has:(b.b_alt.(0) >= 0)
+    tracking_alts t b (fun () ->
+        if b.b_out <> out_port || alt_port < 0 || alt_port <> b.b_alt.(0) then begin
+          b.b_out <- out_port;
+          reset b ~alt:alt_port
+        end)
   | None ->
-    let b_alt = Array.make max_alts (-1) in
-    b_alt.(0) <- alt;
-    Hashtbl.replace table key { b_out = out_port; b_alt; b_defl = 0 };
+    let b = { b_out = out_port; b_alt = Array.make max_alts (-1); b_defl = 0 } in
+    Hashtbl.replace table key b;
     t.count <- t.count + 1;
-    note_alt_transition t ~had:false ~has:(alt >= 0)
+    tracking_alts t b (fun () -> b.b_alt.(0) <- alt_port)
 
 let remove t prefix =
   let table = t.tables.(prefix.Prefix.length) in
@@ -100,16 +93,13 @@ let remove t prefix =
   | Some b ->
     Hashtbl.remove table key;
     t.count <- t.count - 1;
-    note_alt_transition t ~had:(b.b_alt.(0) >= 0) ~has:false;
+    tracking_alts t b (fun () -> b.b_alt.(0) <- -1);
     true
   | None -> false
 
 let find t prefix =
-  match
-    Hashtbl.find_opt t.tables.(prefix.Prefix.length) (key_of_addr prefix.Prefix.network)
-  with
-  | Some b -> Some (t, b)
-  | None -> None
+  Hashtbl.find_opt t.tables.(prefix.Prefix.length) (key_of_addr prefix.Prefix.network)
+  |> Option.map (fun b -> (t, b))
 
 let lookup t addr =
   let a = key_of_addr addr in
@@ -129,51 +119,21 @@ let iter t f =
     t.tables
 
 let out_port (_, b) = b.b_out
-let alt_port_id (_, b) = b.b_alt.(0)
-
-let alt_port e =
-  let a = alt_port_id e in
-  if a < 0 then None else Some a
-
 let alt_at (_, b) slot = if slot < 0 || slot >= max_alts then -1 else b.b_alt.(slot)
-
-let alt_count (_, b) =
-  let n = ref 0 in
-  while !n < max_alts && b.b_alt.(!n) >= 0 do
-    incr n
-  done;
-  !n
-
 let deflect_buckets (_, b) = b.b_defl
 let set_deflect_buckets (_, b) n = b.b_defl <- n
 
+(* Negatives dropped, order kept, truncated at [max_alts]. *)
 let set_alts (t, b) ports =
-  let had = b.b_alt.(0) >= 0 in
-  clear_alts b;
-  let filled = ref 0 in
-  List.iter
-    (fun p ->
-      if p >= 0 && !filled < max_alts then begin
-        b.b_alt.(!filled) <- p;
-        incr filled
-      end)
-    ports;
-  note_alt_transition t ~had ~has:(!filled > 0)
-
-let set_alt_port (t, b) alt =
-  let had = b.b_alt.(0) >= 0 in
-  clear_alts b;
-  b.b_alt.(0) <- (match alt with None -> -1 | Some p -> p);
-  note_alt_transition t ~had ~has:(b.b_alt.(0) >= 0)
+  let kept = List.filteri (fun i _ -> i < max_alts) (List.filter (fun p -> p >= 0) ports) in
+  tracking_alts t b (fun () ->
+      Array.fill b.b_alt 0 max_alts (-1);
+      List.iteri (fun i p -> b.b_alt.(i) <- p) kept)
 
 let set_alt t prefix alt =
   match find t prefix with
-  | Some e -> set_alt_port e alt
+  | Some (_, b) ->
+    tracking_alts t b (fun () ->
+        Array.fill b.b_alt 0 max_alts (-1);
+        b.b_alt.(0) <- Option.value alt ~default:(-1))
   | None -> raise Not_found
-
-let deflects e ~flow = alt_port_id e >= 0 && Fib.flow_bucket flow < deflect_buckets e
-
-let alt_for_flow e ~flow =
-  match alt_count e with
-  | 0 -> -1
-  | c -> alt_at e (Fib.slot_of_bucket ~bucket:(Fib.flow_bucket flow) ~count:c)

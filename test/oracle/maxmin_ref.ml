@@ -2,7 +2,14 @@
    filling over a lazy binary heap of per-link saturation levels, with
    its scratch allocated per call.  [Mifo_netsim.Maxmin.Solver] must
    return bit-identical rates and link allocations (the maxmin_solver
-   tests), and [Flowsim_oracle] solves every epoch with it. *)
+   tests), and [Flowsim_oracle] solves every epoch with it.
+
+   [allocate ~capacities ~flow_links] is the max-min rate of each flow;
+   a flow crossing no link is unconstrained ([Float.infinity]);
+   duplicate link ids in one flow count once; negative capacities and
+   out-of-range link ids raise [Invalid_argument].
+   [link_allocation ~capacities ~flow_links ~rates] sums each flow's
+   rate onto its links, which must be duplicate-free. *)
 
 let dedup_links = Mifo_netsim.Maxmin.dedup_links
 

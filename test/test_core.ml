@@ -302,8 +302,8 @@ module Fib_ops (F : FIB) = struct
     let p = fib_universe.(pidx mod Array.length fib_universe) in
     match kind with
     | 0 ->
-      if b mod 3 = 0 then F.insert fib p ~out_port:(a land 15) ()
-      else F.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
+      if b mod 3 = 0 then F.insert fib p ~out_port:(a land 3) ()
+      else F.insert fib p ~out_port:(a land 3) ~alt_port:(16 + (b land 3)) ()
     | 1 -> ignore (F.remove fib p)
     | 2 ->
       (match F.find fib p with

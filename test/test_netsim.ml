@@ -162,72 +162,54 @@ let prop_eventq_engines_agree =
   QCheck2.Test.make ~name:"eventq: heap and wheel pop identical sequences" ~count:300
     QCheck2.Gen.(list_size (int_range 1 250) eventq_op_gen)
     (fun ops ->
-      let qh = Eventq_heap.create () in
-      let qw = Eventq.create () in
-      let ch = Eventq_heap.time_cell qh and cw = Eventq.time_cell qw in
+      let module H = Eventq_heap in
+      let qh = H.create () and qw = Eventq.create () in
       let bits = Int64.bits_of_float in
-      let same_time a b = bits a = bits b in
-      let payload = ref 0 in
-      (* seqs claimed with [alloc_seq] and not yet scheduled *)
-      let claimed = ref [] in
-      let agree = ref true in
+      let key = Option.map (fun (t, s) -> (bits t, s)) in
+      let payload = ref 0 and claimed = ref [] and agree = ref true in
       let expect ok = if not ok then agree := false in
-      let step op =
-        match op with
+      let precedes (time, seq) =
+        expect (H.precedes_head qh ~time ~seq = Eventq.precedes_head qw ~time ~seq)
+      in
+      let step = function
         | Schedule t ->
-          Eventq_heap.schedule qh ~time:t !payload;
+          H.schedule qh ~time:t !payload;
           Eventq.schedule qw ~time:t !payload;
           incr payload
         | Claim ->
-          let sh = Eventq_heap.alloc_seq qh and sw = Eventq.alloc_seq qw in
-          expect (sh = sw);
-          claimed := !claimed @ [ sh ]
-        | Schedule_claimed (i, t) -> (
-          match !claimed with
-          | [] -> ()
-          | l ->
-            let seq = List.nth l (i mod List.length l) in
-            claimed := List.filter (fun s -> s <> seq) l;
-            Eventq_heap.schedule_pre qh ~time:t ~seq !payload;
-            Eventq.schedule_pre qw ~time:t ~seq !payload;
-            incr payload)
-        | Pop -> (
-          match (Eventq_heap.next qh, Eventq.next qw) with
-          | None, None -> ()
-          | Some (th, ph), Some (tw, pw) -> expect (same_time th tw && ph = pw)
-          | Some _, None | None, Some _ -> expect false)
+          let seq = H.alloc_seq qh in
+          expect (Eventq.alloc_seq qw = seq);
+          claimed := seq :: !claimed
+        | Schedule_claimed (i, time) when !claimed <> [] ->
+          let seq = List.nth !claimed (i mod List.length !claimed) in
+          claimed := List.filter (( <> ) seq) !claimed;
+          H.schedule_pre qh ~time ~seq !payload;
+          Eventq.schedule_pre qw ~time ~seq !payload;
+          incr payload
+        | Schedule_claimed _ -> ()
+        | Pop ->
+          let pop next q = Option.map (fun (t, p) -> (bits t, p)) (next q) in
+          expect (pop H.next qh = pop Eventq.next qw)
         | Pop_before until ->
-          let ph = Eventq_heap.pop_before qh ~until and pw = Eventq.pop_before qw ~until in
-          expect (ph = pw);
-          expect (same_time ch.(0) cw.(0));
-          expect (same_time (Eventq_heap.last_time qh) (Eventq.last_time qw))
-        | Probe (time, seq) ->
-          expect
-            (Eventq_heap.precedes_head qh ~time ~seq = Eventq.precedes_head qw ~time ~seq)
+          expect (H.pop_before qh ~until = Eventq.pop_before qw ~until);
+          expect (bits (H.time_cell qh).(0) = bits (Eventq.time_cell qw).(0));
+          expect (bits (H.last_time qh) = bits (Eventq.last_time qw))
+        | Probe (time, seq) -> precedes (time, seq)
         | Probe_head d ->
-          let time, seq =
-            match Eventq_heap.peek_key qh with None -> (0., 0) | Some (t, s) -> (t, s + d)
-          in
-          expect
-            (Eventq_heap.precedes_head qh ~time ~seq = Eventq.precedes_head qw ~time ~seq)
+          precedes (match H.peek_key qh with None -> (0., 0) | Some (t, s) -> (t, s + d))
         | Clear ->
-          Eventq_heap.clear qh;
+          H.clear qh;
           Eventq.clear qw;
           claimed := []
       in
       List.iter
         (fun op ->
           step op;
-          expect (Eventq_heap.length qh = Eventq.length qw);
-          expect (Eventq_heap.is_empty qh = Eventq.is_empty qw);
-          expect (Eventq_heap.peak_length qh = Eventq.peak_length qw);
-          expect
-            (match (Eventq_heap.peek_key qh, Eventq.peek_key qw) with
-             | None, None -> true
-             | Some (th, sh), Some (tw, sw) -> same_time th tw && sh = sw
-             | Some _, None | None, Some _ -> false))
+          expect (H.length qh = Eventq.length qw && H.is_empty qh = Eventq.is_empty qw);
+          expect (H.peak_length qh = Eventq.peak_length qw);
+          expect (key (H.peek_key qh) = key (Eventq.peek_key qw)))
         ops;
-      while not (Eventq_heap.is_empty qh && Eventq.is_empty qw) do
+      while not (H.is_empty qh && Eventq.is_empty qw) do
         step Pop
       done;
       !agree)

@@ -268,6 +268,26 @@ let test_as_rel_bad_input () =
   in
   Alcotest.(check bool) "bad relationship" true (raises_parse_error "1|2|7\n");
   Alcotest.(check bool) "bad AS number" true (raises_parse_error "x|2|0\n");
+  (* [int_of_string] takes all of these; an AS number is plain decimal
+     in 0 .. 2^32 - 1, and the error names the line and the field *)
+  List.iter
+    (fun asn ->
+      List.iter
+        (fun (field, line) ->
+          match As_rel_io.parse_string ("# header\n" ^ line) with
+          | exception As_rel_io.Parse_error (l, msg) ->
+            Alcotest.(check (pair int string)) asn
+              (2, Printf.sprintf "bad %s %S" field asn) (l, msg)
+          | _ -> Alcotest.failf "AS number %S accepted" asn)
+        [ ("first AS number", asn ^ "|2|0\n"); ("second AS number", "1|" ^ asn ^ "|0\n") ])
+    [ "-5"; "+7"; "0x10"; "0b11"; "0o7"; "0u12"; "1_000"; "4294967296"; "99999999999999999999"; "" ];
+  Alcotest.(check (array int)) "the 32-bit extremes are AS numbers" [| 0; 4294967295 |]
+    (As_rel_io.parse_string "0|4294967295|0\n").As_rel_io.as_number;
+  List.iter
+    (fun rel ->
+      Alcotest.(check bool) (Printf.sprintf "relationship %S" rel) true
+        (raises_parse_error ("1|2|" ^ rel ^ "\n")))
+    [ "-0x1"; "+0"; "00"; "-01"; "" ];
   Alcotest.(check bool) "bad format" true (raises_parse_error "1,2,0\n");
   Alcotest.(check bool) "empty" true (raises_parse_error "# nothing\n");
   (* graph-level faults surface as Parse_error too, never as an
@@ -284,6 +304,24 @@ let test_as_rel_bad_input () =
     (error_line "# header\n1|2|-1\n2|3|0\n2|1|0\n");
   Alcotest.(check (option int)) "provider cycle" (Some 0)
     (error_line "1|2|-1\n2|3|-1\n3|1|-1\n")
+
+(* Mutated and truncated as-rel text: every input either parses or is
+   rejected with [Parse_error]; no other exception escapes. *)
+let prop_as_rel_fuzz =
+  let valid = "# as-rel\n1|2|-1\n2|3|-1\n1|4|0\n4|5|-1\n3|5|0\n" in
+  let n = String.length valid in
+  QCheck2.Test.make ~name:"as_rel_io: only Parse_error escapes on mutated input"
+    ~count:1000
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 6) (pair (int_bound (n - 1)) (oneof [ numeral; printable; char ])))
+        (int_bound n))
+    (fun (edits, cut) ->
+      let b = Bytes.of_string valid in
+      List.iter (fun (i, c) -> Bytes.set b i c) edits;
+      match As_rel_io.parse_string (Bytes.sub_string b 0 cut) with
+      | _ -> true
+      | exception As_rel_io.Parse_error _ -> true)
 
 let test_degree_distribution () =
   let t = Lazy.force generated in
@@ -346,6 +384,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_as_rel_roundtrip;
           Alcotest.test_case "parse" `Quick test_as_rel_parse;
           Alcotest.test_case "bad input" `Quick test_as_rel_bad_input;
+          QCheck_alcotest.to_alcotest prop_as_rel_fuzz;
         ] );
       ( "topo_stats",
         [

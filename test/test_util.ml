@@ -581,7 +581,29 @@ let test_obs_json_roundtrip () =
         (match parse s with
          | exception Failure _ -> true
          | _ -> false))
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [
+      ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated";
+      (* a \u escape is exactly four hex digits *)
+      "\"\\u00_4\""; "\"\\u+041\""; "\"\\u 041\""; "\"\\u004\""; "\"\\u00g1\""; "\"\\u-041\"";
+    ];
+  Alcotest.(check bool) "hex digits of either case" true
+    (parse "[\"\\u004a\", \"\\u004A\"]" = Arr [ Str "J"; Str "J" ])
+
+(* Random text and mutated snapshots: [parse] returns or raises
+   [Failure]; no other exception escapes. *)
+let prop_obs_json_fuzz =
+  let json_char = QCheck2.Gen.oneofl (List.of_seq (String.to_seq "{}[],:\"\\u09afAF_+-.eE tnrl")) in
+  let any_char = QCheck2.Gen.(oneof [ json_char; char ]) in
+  QCheck2.Test.make ~name:"obs json: only Failure escapes on malformed input" ~count:1000
+    QCheck2.Gen.(
+      pair (string_size ~gen:any_char (int_range 0 40))
+        (list_size (int_range 1 4) (pair nat any_char)))
+    (fun (text, edits) ->
+      let snap = Bytes.of_string (Obs.snapshot_json ()) in
+      List.iter (fun (i, c) -> Bytes.set snap (i mod Bytes.length snap) c) edits;
+      List.for_all
+        (fun s -> match Obs.Json.parse s with _ -> true | exception Failure _ -> true)
+        [ text; Bytes.to_string snap ])
 
 let test_obs_time_phase () =
   let r = Obs.time_phase "testphase" (fun () -> 42) in
@@ -643,6 +665,26 @@ let test_parallel_map_matches_serial () =
           let got = Parallel.parallel_map pool (fun x -> (x * x) + 1) input in
           Alcotest.(check (array int)) (Printf.sprintf "n=%d" n) expected got))
     [ 1; 2; 3; 4; 5; 15; 16; 17; 33; 1000 ]
+
+(* At jobs 2 the two elements of a 2-element map must run at the same
+   time: each announces itself, then waits (at most about 10 s) for the
+   other.  A map that runs one element on the caller before handing the
+   rest to the pool never overlaps them, and that element's wait times
+   out. *)
+let test_parallel_map_overlaps () =
+  with_pool 2 (fun pool ->
+      let arrived = Atomic.make 0 in
+      let rendezvous _ =
+        Atomic.incr arrived;
+        let polls = ref 0 in
+        while Atomic.get arrived < 2 && !polls < 10_000 do
+          Unix.sleepf 0.001;
+          incr polls
+        done;
+        Atomic.get arrived >= 2
+      in
+      Alcotest.(check (array bool)) "both elements met" [| true; true |]
+        (Parallel.parallel_map pool rendezvous [| 0; 1 |]))
 
 let test_parallel_for_covers_range () =
   with_pool 3 (fun pool ->
@@ -862,6 +904,7 @@ let () =
           Alcotest.test_case "trace ring buffer" `Quick test_obs_trace_ring;
           Alcotest.test_case "snapshot is valid sorted JSON" `Quick test_obs_snapshot_parses;
           Alcotest.test_case "json round trip + rejection" `Quick test_obs_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_obs_json_fuzz;
           Alcotest.test_case "phase timing" `Quick test_obs_time_phase;
         ] );
       ( "parallel",
@@ -869,6 +912,8 @@ let () =
           Alcotest.test_case "map empty input" `Quick test_parallel_map_empty;
           Alcotest.test_case "map matches serial across chunk boundaries" `Quick
             test_parallel_map_matches_serial;
+          Alcotest.test_case "map runs its elements concurrently" `Quick
+            test_parallel_map_overlaps;
           Alcotest.test_case "for covers the range exactly once" `Quick
             test_parallel_for_covers_range;
           Alcotest.test_case "worker exception propagates" `Quick
