@@ -40,7 +40,9 @@ assert not any(nulls.values()), "null gauges: %s" % nulls' \
 		echo "metrics-smoke: python3 not installed, skipping JSON parse check"; \
 	fi
 
-# Determinism / domain-safety lint over the sources (bench/ is exempt).
+# Determinism / domain-safety lint over the sources (bench/ is exempt);
+# it also fails if a lib/ or bin/ dune file links the test-only
+# oracle library (mifo_oracle).
 lint:
 	dune exec bin/mifo_lint.exe
 
