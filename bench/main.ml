@@ -185,7 +185,7 @@ type scale_bench = {
   sc_secs : float;
   sc_dests_per_sec : float;
   sc_peak_words : float;  (* routing.peak_words gauge: major-heap high water *)
-  sc_rep_identical : bool;  (* CSR rib == boxed-oracle rib, every node *)
+  sc_oracle_identical : bool;  (* routing == Routing_oracle, every node *)
   sc_check : check_bench;
 }
 
@@ -199,10 +199,11 @@ let scale44k_ctx :
 
 (* The paper's evaluation scale: route computation throughput, peak
    memory, and full-vs-incremental static verification on the 44,340-AS
-   preset (MIFO_44K_* shrink it for smoke runs).  The CSR representation
-   is cross-checked against the boxed oracle on a full destination's
-   RIBs, and every incremental verdict against a fresh full check —
-   mismatches flip [bench_failed]. *)
+   preset (MIFO_44K_* shrink it for smoke runs).  Route computation is
+   cross-checked against the reference in the oracle library on every
+   node of one destination (tree-pass outputs and RIB rows), and every
+   incremental verdict against a fresh full check — mismatches flip
+   [bench_failed]. *)
 let scale44k_bench () =
   let module Generator = Mifo_topology.Generator in
   let module As_graph = Mifo_topology.As_graph in
@@ -234,22 +235,23 @@ let scale44k_bench () =
   let dests_per_sec = float_of_int ndests /. secs in
   Printf.printf "route compute: %d dests in %.2fs (%.1f dests/s, jobs=%d)\n%!"
     ndests secs dests_per_sec jobs;
-  (* CSR vs boxed oracle: same destination, every node's RIB equal. *)
+  (* Production vs the reference route computation: same destination,
+     every node's tree-pass outputs and RIB row equal. *)
   let d0 = dests.(Array.length dests / 2) in
-  let rt_csr = Routing.compute ~rep:Routing.Csr g d0 in
-  let rt_box = Routing.compute ~rep:Routing.Boxed g d0 in
-  let rep_identical = ref true in
+  let rt = Routing.compute g d0 in
+  let oracle = Mifo_oracle.Routing_oracle.compute g d0 in
+  let oracle_identical = ref true in
   for v = 0 to n - 1 do
-    if Routing.rib rt_csr v <> Routing.rib rt_box v then rep_identical := false
+    if not (Mifo_oracle.Routing_oracle.agrees oracle rt v) then oracle_identical := false
   done;
-  if not !rep_identical then begin
-    Printf.printf "   <-- CSR / boxed RIB MISMATCH (dest %d)\n%!" d0;
+  if not !oracle_identical then begin
+    Printf.printf "   <-- ROUTING / ORACLE MISMATCH (dest %d)\n%!" d0;
     bench_failed := true
   end;
   (* Incremental vs full static verification under single-entry FIB
      deltas: disable then re-enable one alternative, recheck after each,
      and compare every verdict against a fresh full DFS. *)
-  let inc = As_check.Inc.create g rt_csr in
+  let inc = As_check.Inc.create g rt in
   let full_time = ref 0. and full_runs = ref 0 in
   let inc_time = ref 0. and inc_runs = ref 0 in
   let verdicts_identical = ref true in
@@ -265,8 +267,8 @@ let scale44k_bench () =
   let deltas = ref [] in
   let v = ref 0 in
   while List.length !deltas < ndeltas && !v < n do
-    if !v <> d0 && Routing.rib_size rt_csr !v >= 2 then
-      deltas := (!v, Routing.rib_via rt_csr !v 1) :: !deltas;
+    if !v <> d0 && Routing.rib_size rt !v >= 2 then
+      deltas := (!v, Routing.rib_via rt !v 1) :: !deltas;
     v := !v + (Stdlib.max 1 (n / (4 * ndeltas)))
   done;
   List.iter
@@ -303,9 +305,9 @@ let scale44k_bench () =
   Printf.printf
     "static check: full %.4fs vs incremental %.6fs per delta (%d rechecks, \
      %.0fx, verdicts identical: %b)\n\
-     peak heap: %.1f MWords   rep identical: %b\n\n%!"
+     peak heap: %.1f MWords   oracle identical: %b\n\n%!"
     check.chk_full_secs check.chk_inc_secs check.chk_deltas check.chk_speedup
-    check.chk_verdicts_identical (peak_words /. 1e6) !rep_identical;
+    check.chk_verdicts_identical (peak_words /. 1e6) !oracle_identical;
   scale_bench_result :=
     Some
       {
@@ -316,7 +318,7 @@ let scale44k_bench () =
         sc_secs = secs;
         sc_dests_per_sec = dests_per_sec;
         sc_peak_words = peak_words;
-        sc_rep_identical = !rep_identical;
+        sc_oracle_identical = !oracle_identical;
         sc_check = check;
       };
   scale44k_ctx := Some (g, table, dests)
@@ -513,11 +515,11 @@ let scale44k_json sc =
     \    \"secs\": %.3f,\n\
     \    \"dests_per_sec\": %.3f,\n\
     \    \"peak_words\": %.0f,\n\
-    \    \"rep_identical\": %b,\n\
+    \    \"oracle_identical\": %b,\n\
     \    \"check\": {\"full_secs\": %.6f, \"incremental_secs\": %.9f, \"speedup\": %.1f, \"deltas\": %d, \"verdicts_identical\": %b}\n\
     \  }"
     sc.sc_ases sc.sc_links sc.sc_dests sc.sc_jobs sc.sc_secs sc.sc_dests_per_sec
-    sc.sc_peak_words sc.sc_rep_identical c.chk_full_secs c.chk_inc_secs
+    sc.sc_peak_words sc.sc_oracle_identical c.chk_full_secs c.chk_inc_secs
     c.chk_speedup c.chk_deltas c.chk_verdicts_identical
 
 let write_bench_json path =
@@ -1224,8 +1226,8 @@ let validate () =
     (fun () -> Mifo_exp.Validation.render (Mifo_exp.Validation.run ~seed ()))
 
 (* The routing/verification track: precompute throughput on the default
-   graph, then the 44,340-AS scale run (CSR RIBs, peak-heap gauge,
-   incremental re-verification vs the full-DFS oracle). *)
+   graph, then the 44,340-AS scale run (routing vs its oracle, peak-heap
+   gauge, incremental re-verification vs the full-DFS oracle). *)
 let routing () =
   routing_precompute_bench ();
   scale44k_bench ();

@@ -49,7 +49,7 @@ let banned_substrings =
 let domain_shared = [ "routing.ml"; "routing_table.ml"; "obs.ml" ]
 
 (* Data-plane hot paths (lib/bgp, lib/core): new bare [Hashtbl] use is
-   banned — the CSR RIB arena and the open-addressed flat FIB are the
+   banned — the packed RIB rows and the open-addressed flat FIB are the
    representations there, and a boxed hash table on those paths undoes
    the 44K-scale memory/locality work.  Mutex-guarded control-plane
    caches and analysis-only scratch sets carry explicit [lint:allow]

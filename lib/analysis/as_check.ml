@@ -294,8 +294,7 @@ end
    the Up* prefix) and S1 "only Down allowed" (a Flat or Down hop has
    been taken).  Each RIB entry is then audited in O(1) from the packed
    accessors; the boxed path materialises only on the cold violation
-   path.  This is what keeps the 44K audit inside the CSR arena
-   (previously: one boxed list per RIB entry via [rib_paths]). *)
+   path, so the 44K audit builds no list per RIB entry. *)
 let ok_s0 = 1 (* chain valid when entered in S0 *)
 let ok_s1 = 2 (* chain valid when entered in S1 *)
 

@@ -52,7 +52,7 @@ val find_loop :
     withdrawn FIB alternatives; the default route is never masked.
 
     [?k] models the k-alternative data plane: deflections are bounded
-    to the first [k] RIB alternatives (the pool
+    to the first [k] RIB alternatives (RIB indices [1 .. k], the pool
     {!Mifo_core.Alt_select.ranked_alternatives} draws from, so the
     bounded check soundly over-approximates every runtime ranked set)
     and the automaton state widens from [(AS, tag)] to the k-way choice

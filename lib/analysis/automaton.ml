@@ -95,7 +95,7 @@ let slot_of_move t (m : move) = if t.slots = 1 then 0 else m.slot
    [link_enabled] a failed physical link, [repair] the post-failure
    promoted default).  Iterates the RIB through the packed accessors —
    no boxed entries materialise, which is what keeps the 44K product DFS
-   inside the CSR arena.  The tag after the hop [v -> via] is rewritten
+   on the packed rows.  The tag after the hop [v -> via] is rewritten
    at [via]'s entering point to "the upstream neighbor is my customer";
    the stored relationship is [via]'s role relative to [v], so the
    upstream role is its inverse.

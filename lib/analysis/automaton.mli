@@ -6,8 +6,8 @@
     route (never checked) or deflect onto another admissible RIB route,
     gated by the exit-point Tag-Check; the tag is rewritten at each
     entering point ({!Mifo_core.Policy}).  This module owns the
-    transition relation (iterated through the packed CSR accessors, so
-    traversals at 44K never leave the arena), the packed state encoding,
+    transition relation (iterated through the packed RIB accessors, so
+    traversals at 44K allocate no boxed entry), the packed state encoding,
     the overlay hooks the checkers compose (withdrawn deflections,
     failed links, local repair), epoch-stamped scratch, and the
     forward/co-reachability traversals the property checkers

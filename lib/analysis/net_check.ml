@@ -22,13 +22,6 @@ let host_index routing =
   Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
   (Array.map (fun i -> keys.(i)) order, Array.map (fun i -> listed.(i)) order)
 
-(* Whether the RIB of [v] toward [rt]'s destination holds a route via
-   neighbor AS [nb] — a scan of the packed entries, no boxed view. *)
-let rib_backed rt v nb =
-  let size = Routing.rib_size rt v in
-  let rec scan i = i < size && (Routing.rib_via rt v i = nb || scan (i + 1)) in
-  scan 0
-
 (* Role names are built only for a recorded violation: [-1] is the
    default port, [i >= 0] ranked alternative slot [i]. *)
 let role_name slot = if slot < 0 then "default" else Printf.sprintf "alt[%d]" slot
@@ -77,7 +70,7 @@ let audit_fibs sim ~routing =
                  | Packetsim.Host_view _ -> dangling slot port "eBGP port wired to a host");
                 if host >= 0 then begin
                   let d, rt = dests.(host) in
-                  if as_id <> d && not (rib_backed rt as_id neighbor_as) then
+                  if as_id <> d && not (Routing.rib_mem rt as_id neighbor_as) then
                     dangling slot port
                       (Printf.sprintf "eBGP port not backed by a RIB route via AS %d"
                          neighbor_as)

@@ -3,17 +3,10 @@ module Relationship = Mifo_topology.Relationship
 module Obs = Mifo_util.Obs
 
 (* High-water mark of major-heap words observed at the end of every
-   [compute]; at 44K ASes the routing state dominates live memory, so
-   this gauge is the bench's peak-memory signal. *)
+   [compute].  Rows built later, on first read, are not counted. *)
 let g_peak_words = Obs.gauge "routing.peak_words"
 
-type rep = Csr | Boxed
-
-let rep_name = function Csr -> "csr" | Boxed -> "boxed"
-
 type route_class = Customer_route | Peer_route | Provider_route
-
-let class_rank = function Customer_route -> 0 | Peer_route -> 1 | Provider_route -> 2
 
 let class_to_string = function
   | Customer_route -> "customer"
@@ -26,267 +19,210 @@ type t = {
   graph : As_graph.t;
   dest : int;
   dist_cust : int array;  (* best customer-route length; -1 = none *)
-  peer_len : int array;  (* best peer-route length; -1 = none *)
-  prov_len : int array;  (* best provider-route length; -1 = none *)
   export_len : int array;  (* best route length (selected); -1 = unreachable *)
-  best_class : int array;  (* 0/1/2 per class_rank; -1 at dest or unreachable *)
+  best_class : int array;  (* 0 customer, 1 peer, 2 provider; -1 at dest or unreachable *)
   next : int array;  (* default next hop; -1 at dest or unreachable *)
-  tree_times : int array * int array;
-      (* DFS entry/exit times of the selected-route tree (parent =
-         default next hop, root = dest), built at construction: [x] lies
-         on [n]'s selected path iff [x] is an ancestor of [n], an O(1)
-         interval test.  Powers the BGP loop filter in [rib].  Eager so
-         a [t] shared across domains carries no lazily-written state. *)
-  rib_arrays : rib_entry array option array;
-      (* per-node sorted RIB, memoized on first demand.  Idempotent
-         fill: a racing fill writes a structurally identical array, so
-         concurrent readers of a shared [t] are safe (OCaml's memory
-         model guarantees a racy read sees one of the written values). *)
-  rib_lists : rib_entry list option array;
-      (* list view of [rib_arrays.(v)], memoized for the list-returning
-         public API so steady-state [rib] calls allocate nothing *)
-  csr_off : int array;
-      (* CSR representation of every node's sorted RIB, built eagerly at
-         [compute] under [rep = Csr] (both arrays empty under [Boxed]):
-         node [v]'s entries are [csr_cells.(csr_off.(v)) ..
-         csr_cells.(csr_off.(v+1) - 1)], each cell a packed
-         [(preference_rank lsl 60) lor (len lsl 32) lor via] int so
-         ascending int order IS [entry_order].  One flat arena for all
-         44K nodes instead of 44K boxed arrays — and being immutable
-         after construction, it shares across domains for free. *)
-  csr_cells : int array;
+  times : int array;
+      (* DFS entry and exit times of the selected-route tree (parent =
+         default next hop, root = dest) at [2v] and [2v + 1], side by
+         side so one cache line holds both: [x] lies on [n]'s selected
+         path iff [x] is an ancestor of [n], an O(1) interval test.
+         Powers the BGP loop filter of the RIB rows. *)
+  rows : int array array;
+      (* node [v]'s sorted RIB, built on first read ([unbuilt] until
+         then): one packed [(rank lsl 60) lor (len lsl 32) lor via] cell
+         per entry, so ascending int order is preference order.  See
+         [row] for the publication argument. *)
 }
+
+(* Physically unique marker of a row not yet built; never a real row
+   (a real row is a fresh [Array.sub], or the [[||]] atom). *)
+let unbuilt = [| -1 |]
 
 let dest t = t.dest
 
-(* Pick the neighbor minimizing (advertised length, id) among candidates
-   that actually have a route. *)
-let best_via candidates route_len =
-  let best = ref (-1) and best_len = ref max_int in
-  Array.iter
-    (fun nb ->
-      match route_len nb with
-      | None -> ()
-      | Some l ->
-        if l < !best_len || (l = !best_len && nb < !best) then begin
-          best := nb;
-          best_len := l
-        end)
-    candidates;
-  if !best < 0 then None else Some (!best, 1 + !best_len)
+(* Per-domain scratch, reused across calls so the BFS, the route-tree
+   walk and the row build allocate nothing but their results.  [grow]
+   returns a buffer of at least [m] cells. *)
+let scratch_key () = Domain.DLS.new_key (fun () -> ref [||])
+
+let grow key m =
+  let r = Domain.DLS.get key in
+  if Array.length !r < m then r := Array.make (Stdlib.max m (2 * Array.length !r)) 0;
+  !r
+
+let work_key = scratch_key ()  (* BFS queue, then DFS stack: 2n *)
+let child_off_key = scratch_key ()  (* n + 1 *)
+let child_key = scratch_key ()  (* n *)
+let cells_key = scratch_key ()  (* one row: degree *)
+
+(* The neighbour in [nbrs] with the lowest [(lens.(nb), nb)] among those
+   with [lens.(nb) >= 0]; -1 when none. *)
+let argmin_via nbrs lens =
+  let best = ref (-1) and best_l = ref max_int in
+  for i = 0 to Array.length nbrs - 1 do
+    let nb = nbrs.(i) in
+    let l = lens.(nb) in
+    if l >= 0 && (l < !best_l || (l = !best_l && nb < !best)) then begin
+      best := nb;
+      best_l := l
+    end
+  done;
+  !best
+
+let check_next_hop ~dest ~node cls ~via ~len ~expected =
+  let broken detail =
+    failwith
+      (Printf.sprintf
+         "Routing.compute: invariant broken toward destination %d at AS %d (%s route): %s"
+         dest node (class_to_string cls) detail)
+  in
+  if via < 0 then broken "no neighbour of that class advertises a route"
+  else if len <> expected then
+    broken
+      (Printf.sprintf "the best route via AS %d has length %d, the selected one %d" via len
+         expected)
+
+(* The next hop of a node whose selected route has class [cls] and
+   length [expected]: the best neighbour of that class, which must
+   advertise a route one hop shorter. *)
+let select ~dest ~node cls nbrs lens expected =
+  let via = argmin_via nbrs lens in
+  let len = if via < 0 then -1 else 1 + lens.(via) in
+  check_next_hop ~dest ~node cls ~via ~len ~expected;
+  via
 
 (* DFS entry/exit times over the selected-route tree rooted at [d]
-   (parent = default next hop). *)
-let build_tree_times n next d =
-  let children = Array.make n [] in
+   (parent = default next hop), children visited in ascending id order,
+   interleaved as in [t.times] (-1 = not in the tree).
+   Children are a CSR over [next] (node [p]'s are [child.(off.(p)) ..
+   child.(off.(p+1) - 1)], ascending); the DFS stack holds [v] to enter
+   [v] and [lnot v] to leave it. *)
+let tree_times n next d =
+  let off = grow child_off_key (n + 1) and child = grow child_key n in
+  Array.fill off 0 (n + 1) 0;
   for v = 0 to n - 1 do
     let p = next.(v) in
-    if p >= 0 then children.(p) <- v :: children.(p)
+    if p >= 0 then off.(p + 1) <- off.(p + 1) + 1
   done;
-  let tin = Array.make n (-1) and tout = Array.make n (-1) in
-  let clock = ref 0 in
-  (* iterative DFS: (node, Enter | Exit) *)
-  let stack = Stack.create () in
-  Stack.push (d, true) stack;
-  while not (Stack.is_empty stack) do
-    let v, entering = Stack.pop stack in
-    if entering then begin
-      tin.(v) <- !clock;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  (* fill with [off.(p)] as [p]'s cursor, then shift the advanced
+     cursors (each now its successor's start) back into place *)
+  for v = 0 to n - 1 do
+    let p = next.(v) in
+    if p >= 0 then begin
+      child.(off.(p)) <- v;
+      off.(p) <- off.(p) + 1
+    end
+  done;
+  for p = n downto 1 do
+    off.(p) <- off.(p - 1)
+  done;
+  off.(0) <- 0;
+  let times = Array.make (2 * n) (-1) in
+  let stack = grow work_key (2 * n) in
+  let sp = ref 1 and clock = ref 0 in
+  stack.(0) <- d;
+  while !sp > 0 do
+    decr sp;
+    let x = stack.(!sp) in
+    if x >= 0 then begin
+      times.(2 * x) <- !clock;
       incr clock;
-      Stack.push (v, false) stack;
-      List.iter (fun c -> Stack.push (c, true) stack) children.(v)
+      stack.(!sp) <- lnot x;
+      incr sp;
+      (* push descending so the lowest id is entered first *)
+      for i = off.(x + 1) - 1 downto off.(x) do
+        stack.(!sp) <- child.(i);
+        incr sp
+      done
     end
     else begin
-      tout.(v) <- !clock;
+      times.((2 * lnot x) + 1) <- !clock;
       incr clock
     end
   done;
-  (tin, tout)
+  times
 
-let compute ?(rep = Csr) g d =
+let compute g d =
   let n = As_graph.n g in
   if d < 0 || d >= n then invalid_arg "Routing.compute: destination out of range";
   let dist_cust = Array.make n (-1) in
-  let peer_len = Array.make n (-1) in
-  let prov_len = Array.make n (-1) in
   let export_len = Array.make n (-1) in
   let best_class = Array.make n (-1) in
   let next = Array.make n (-1) in
   (* Phase 1 — customer routes: BFS from the destination along
      customer->provider edges; an AS has a customer route iff some chain of
      successive customers leads down to d. *)
+  let queue = grow work_key (2 * n) in
   dist_cust.(d) <- 0;
-  let queue = Queue.create () in
-  Queue.add d queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Array.iter
-      (fun p ->
-        if dist_cust.(p) < 0 then begin
-          dist_cust.(p) <- dist_cust.(v) + 1;
-          Queue.add p queue
-        end)
-      (As_graph.providers g v)
+  export_len.(d) <- 0;
+  queue.(0) <- d;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let provs = As_graph.providers g v in
+    for i = 0 to Array.length provs - 1 do
+      let p = provs.(i) in
+      if dist_cust.(p) < 0 then begin
+        dist_cust.(p) <- dist_cust.(v) + 1;
+        best_class.(p) <- 0;
+        export_len.(p) <- dist_cust.(p);
+        queue.(!tail) <- p;
+        incr tail
+      end
+    done
   done;
-  (* Phase 2 — peer routes: usable iff the peer's best route is a customer
-     route (export policy), i.e. iff the peer has a customer route. *)
+  (* Phase 2 — peer routes, selected where no customer route exists:
+     usable iff the peer's best route is a customer route (export
+     policy), i.e. iff the peer has a customer route. *)
   for v = 0 to n - 1 do
-    if v <> d then begin
-      let via_peer nb = if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None in
-      match best_via (As_graph.peers g v) via_peer with
-      | Some (_, l) -> peer_len.(v) <- l
-      | None -> ()
+    if v <> d && dist_cust.(v) < 0 then begin
+      let nb = argmin_via (As_graph.peers g v) dist_cust in
+      if nb >= 0 then begin
+        best_class.(v) <- 1;
+        export_len.(v) <- 1 + dist_cust.(nb)
+      end
     end
   done;
   (* Phase 3 — provider routes, in provider-before-customer order: a
      provider advertises its selected best route to customers, whatever its
      class, so export_len must be fixed top-down. *)
   let order = As_graph.topological_order g in
-  let selected v =
-    (* (class, length) of v's best route given phases so far *)
-    if v = d then Some (-1, 0)
-    else if dist_cust.(v) >= 0 then Some (0, dist_cust.(v))
-    else if peer_len.(v) >= 0 then Some (1, peer_len.(v))
-    else if prov_len.(v) >= 0 then Some (2, prov_len.(v))
-    else None
-  in
-  Array.iter
-    (fun v ->
-      if v <> d then begin
-        let via_provider nb =
-          if export_len.(nb) >= 0 then Some export_len.(nb) else None
-        in
-        (match best_via (As_graph.providers g v) via_provider with
-         | Some (_, l) -> prov_len.(v) <- l
-         | None -> ());
-        match selected v with
-        | Some (_, l) -> export_len.(v) <- l
-        | None -> ()
-      end
-      else export_len.(v) <- 0)
-    order;
-  (* Default next hops from the final class decision. *)
-  for v = 0 to n - 1 do
-    if v <> d then begin
-      let pick candidates route_len = best_via candidates route_len in
-      let via_customer nb =
-        (* a customer exports to its provider only its customer routes *)
-        if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None
-      in
-      let via_peer nb = if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None in
-      let via_provider nb = if export_len.(nb) >= 0 then Some export_len.(nb) else None in
-      if dist_cust.(v) >= 0 then begin
-        best_class.(v) <- 0;
-        match pick (As_graph.customers g v) via_customer with
-        | Some (nb, l) ->
-          assert (l = dist_cust.(v));
-          next.(v) <- nb
-        | None ->
-          (* the only customer route with no customer next hop is via a
-             directly-connected destination customer — impossible here
-             since d itself is covered by via_customer *)
-          assert false
-      end
-      else if peer_len.(v) >= 0 then begin
-        best_class.(v) <- 1;
-        match pick (As_graph.peers g v) via_peer with
-        | Some (nb, l) ->
-          assert (l = peer_len.(v));
-          next.(v) <- nb
-        | None -> assert false
-      end
-      else if prov_len.(v) >= 0 then begin
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    if v <> d && best_class.(v) < 0 then begin
+      let nb = argmin_via (As_graph.providers g v) export_len in
+      if nb >= 0 then begin
         best_class.(v) <- 2;
-        match pick (As_graph.providers g v) via_provider with
-        | Some (nb, l) ->
-          assert (l = prov_len.(v));
-          next.(v) <- nb
-        | None -> assert false
+        export_len.(v) <- 1 + export_len.(nb)
       end
     end
   done;
-  let tree_times = build_tree_times n next d in
-  let csr_off, csr_cells =
-    match rep with
-    | Boxed -> ([||], [||])
-    | Csr ->
-      (* Admissibility repeats [compute_rib]'s export filter: a customer
-         or peer neighbor advertises its best customer route, a provider
-         its selected route, and the BGP loop filter drops routes whose
-         AS path runs through us (an ancestor query on the route tree). *)
-      let tin, tout = tree_times in
-      let on_path ~node x =
-        tin.(node) >= 0 && tin.(x) >= 0 && tin.(x) <= tin.(node) && tout.(node) <= tout.(x)
-      in
-      let off = Array.make (n + 1) 0 in
-      for v = 0 to n - 1 do
-        if v <> d then begin
-          let c = ref 0 in
-          let count_class nbrs advertised =
-            Array.iter
-              (fun nb -> if advertised nb >= 0 && not (on_path ~node:nb v) then incr c)
-              nbrs
-          in
-          count_class (As_graph.customers g v) (fun nb -> dist_cust.(nb));
-          count_class (As_graph.peers g v) (fun nb -> dist_cust.(nb));
-          count_class (As_graph.providers g v) (fun nb -> export_len.(nb));
-          off.(v + 1) <- !c
-        end
-      done;
-      for v = 0 to n - 1 do
-        off.(v + 1) <- off.(v + 1) + off.(v)
-      done;
-      let cells = Array.make off.(n) 0 in
-      let max_deg = ref 0 in
-      for v = 0 to n - 1 do
-        max_deg := Stdlib.max !max_deg (off.(v + 1) - off.(v))
-      done;
-      let scratch = Array.make !max_deg 0 in
-      for v = 0 to n - 1 do
-        if v <> d then begin
-          let p = ref off.(v) in
-          let push_class rank nbrs advertised =
-            Array.iter
-              (fun nb ->
-                let adv = advertised nb in
-                if adv >= 0 && not (on_path ~node:nb v) then begin
-                  cells.(!p) <- (rank lsl 60) lor ((1 + adv) lsl 32) lor nb;
-                  incr p
-                end)
-              nbrs
-          in
-          push_class 0 (As_graph.customers g v) (fun nb -> dist_cust.(nb));
-          push_class 1 (As_graph.peers g v) (fun nb -> dist_cust.(nb));
-          push_class 2 (As_graph.providers g v) (fun nb -> export_len.(nb));
-          (* Sort the segment: ascending packed ints = entry_order.  The
-             classes were pushed in rank order, so only (len, via) within
-             each class is out of order; the heapsort is O(k log k) even
-             on tier-1 hubs with thousands of entries. *)
-          let k = !p - off.(v) in
-          if k > 1 then begin
-            Array.blit cells off.(v) scratch 0 k;
-            Mifo_util.Sort.sort_prefix ~cmp:Int.compare scratch k;
-            Array.blit scratch 0 cells off.(v) k
-          end
-        end
-      done;
-      (off, cells)
-  in
+  (* Default next hops from the final class decision, re-derived from
+     the neighbours of that class and checked against phases 1-3. *)
+  for v = 0 to n - 1 do
+    let len = export_len.(v) in
+    next.(v) <-
+      (match best_class.(v) with
+       | 0 -> select ~dest:d ~node:v Customer_route (As_graph.customers g v) dist_cust len
+       | 1 -> select ~dest:d ~node:v Peer_route (As_graph.peers g v) dist_cust len
+       | 2 -> select ~dest:d ~node:v Provider_route (As_graph.providers g v) export_len len
+       | _ -> -1)
+  done;
   let t =
     {
       graph = g;
       dest = d;
       dist_cust;
-      peer_len;
-      prov_len;
       export_len;
       best_class;
       next;
-      tree_times;
-      rib_arrays = Array.make n None;
-      rib_lists = Array.make n None;
-      csr_off;
-      csr_cells;
+      times = tree_times n next d;
+      rows = Array.make n unbuilt;
     }
   in
   Obs.max_gauge g_peak_words (float_of_int (Gc.quick_stat ()).Gc.heap_words);
@@ -327,47 +263,22 @@ let default_path t s =
   in
   follow s [] 0
 
-let on_selected_path t ~node x =
-  (* is [x] on [node]'s selected default path (including its endpoints)? *)
-  let tin, tout = t.tree_times in
-  tin.(node) >= 0 && tin.(x) >= 0 && tin.(x) <= tin.(node) && tout.(node) <= tout.(x)
+(* is [x] on [node]'s selected default path (including its endpoints)? *)
+let[@inline] on_selected_path t ~node x =
+  let tt = t.times in
+  let tin_node = tt.(2 * node) and tin_x = tt.(2 * x) in
+  tin_node >= 0 && tin_x >= 0 && tin_x <= tin_node
+  && tt.((2 * node) + 1) <= tt.((2 * x) + 1)
 
-let entry_order a b =
-  let ka = (Relationship.preference_rank a.rel, a.len, a.via) in
-  let kb = (Relationship.preference_rank b.rel, b.len, b.via) in
-  compare ka kb
+(* ---------- RIB rows ---------- *)
 
-let compute_rib t v =
-  let g = t.graph in
-  let entries = ref [] in
-  let nbrs = As_graph.neighbors g v in
-  Array.iter
-    (fun nb ->
-      let rel = As_graph.rel_exn g v nb in
-      let advertised =
-        match rel with
-        | Relationship.Customer | Relationship.Peer ->
-          (* they export to us (their provider / peer) only customer routes *)
-          if t.dist_cust.(nb) >= 0 then Some t.dist_cust.(nb) else None
-        | Relationship.Provider ->
-          if t.export_len.(nb) >= 0 then Some t.export_len.(nb) else None
-      in
-      match advertised with
-      | Some l ->
-        (* BGP loop filter: reject a route whose AS path contains us.
-           The neighbor's exported path is its selected default path,
-           so the check is an ancestor query on the route tree. *)
-        if not (on_selected_path t ~node:nb v) then
-          entries := { via = nb; rel; len = 1 + l } :: !entries
-      | None -> ())
-    nbrs;
-  let arr = Array.of_list !entries in
-  Array.sort entry_order arr;
-  arr
+(* A customer or peer advertises to us its best customer route, a
+   provider its selected route; the BGP loop filter drops a route whose
+   AS path (the neighbour's selected default path) runs through us. *)
+let[@inline] admissible t v nb lens =
+  lens.(nb) >= 0 && not (on_selected_path t ~node:nb v)
 
-let rep t = if Array.length t.csr_off = 0 then Boxed else Csr
-
-(* Packed-cell decode. *)
+let[@inline] cell rank lens nb = (rank lsl 60) lor ((1 + lens.(nb)) lsl 32) lor nb
 let[@inline] cell_via c = c land 0xFFFFFFFF
 let[@inline] cell_len c = (c lsr 32) land 0xFFFFFFF
 
@@ -377,75 +288,133 @@ let cell_rel c =
   | 1 -> Relationship.Peer
   | _ -> Relationship.Provider
 
-let decode_csr t v =
-  let lo = t.csr_off.(v) in
-  Array.init
-    (t.csr_off.(v + 1) - lo)
-    (fun i ->
-      let c = t.csr_cells.(lo + i) in
-      { via = cell_via c; rel = cell_rel c; len = cell_len c })
+let push_class t v cells k rank nbrs lens =
+  let k = ref k in
+  for i = 0 to Array.length nbrs - 1 do
+    let nb = nbrs.(i) in
+    if admissible t v nb lens then begin
+      cells.(!k) <- cell rank lens nb;
+      incr k
+    end
+  done;
+  !k
 
-let rib_array t v =
+(* Ascending sort of [a.(0 .. len-1)]: insertion sort on short rows,
+   heapsort (O(len log len)) on hubs with thousands of entries. *)
+let sort_cells (a : int array) len =
+  if len <= 16 then
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let rec sift i hi =
+      let l = (2 * i) + 1 in
+      if l < hi then begin
+        let c = if l + 1 < hi && a.(l + 1) > a.(l) then l + 1 else l in
+        if a.(c) > a.(i) then begin
+          let tmp = a.(i) in
+          a.(i) <- a.(c);
+          a.(c) <- tmp;
+          sift c hi
+        end
+      end
+    in
+    for i = (len / 2) - 1 downto 0 do
+      sift i len
+    done;
+    for hi = len - 1 downto 1 do
+      let tmp = a.(0) in
+      a.(0) <- a.(hi);
+      a.(hi) <- tmp;
+      sift 0 hi
+    done
+  end
+
+let build_row t v =
   if v = t.dest then [||]
-  else
-    match t.rib_arrays.(v) with
-    | Some arr -> arr
-    | None ->
-      let arr =
-        match rep t with Csr -> decode_csr t v | Boxed -> compute_rib t v
-      in
-      t.rib_arrays.(v) <- Some arr;
-      arr
+  else begin
+    let g = t.graph in
+    let cells = grow cells_key (As_graph.degree g v) in
+    let k = push_class t v cells 0 0 (As_graph.customers g v) t.dist_cust in
+    let k = push_class t v cells k 1 (As_graph.peers g v) t.dist_cust in
+    let k = push_class t v cells k 2 (As_graph.providers g v) t.export_len in
+    sort_cells cells k;
+    Array.sub cells 0 k
+  end
+
+(* The row of [v], built on first read.  Publication: the row is a fresh
+   array whose cells are written (copied from this domain's scratch)
+   when it is allocated, before one store makes it reachable from
+   [t.rows].  A reader that loads the sentinel builds the row itself;
+   every build of a row yields the same cells, so a racing store only
+   replaces a row with an equal one. *)
+let[@inline never] row_slow t v =
+  let r = build_row t v in
+  t.rows.(v) <- r;
+  r
+
+let[@inline] row t v =
+  let r = t.rows.(v) in
+  if r != unbuilt then r else row_slow t v
+
+let rib_size t v = Array.length (row t v)
+let[@inline] rib_via t v i = cell_via (row t v).(i)
+let[@inline] rib_len_at t v i = cell_len (row t v).(i)
+let[@inline] rib_rel_at t v i = cell_rel (row t v).(i)
 
 let rib t v =
-  if v = t.dest then []
-  else
-    match t.rib_lists.(v) with
-    | Some entries -> entries
-    | None ->
-      let entries = Array.to_list (rib_array t v) in
-      t.rib_lists.(v) <- Some entries;
-      entries
+  let r = row t v in
+  List.init (Array.length r) (fun i ->
+      let c = r.(i) in
+      { via = cell_via c; rel = cell_rel c; len = cell_len c })
 
-let alternatives t v =
-  match rib t v with [] -> [] | _default :: rest -> rest
+(* The default next hop heads the row; for any other neighbour, the
+   class arrays are sorted, so a binary search finds [nb]'s role. *)
+let[@inline] has nbrs nb = Mifo_util.Sort.find_first nbrs nb >= 0
 
-let rib_size t v =
-  if Array.length t.csr_off > 0 then t.csr_off.(v + 1) - t.csr_off.(v)
-  else Array.length (rib_array t v)
+let rib_mem t v nb =
+  let g = t.graph in
+  nb = t.next.(v)
+  || v <> t.dest
+     &&
+     if has (As_graph.customers g v) nb || has (As_graph.peers g v) nb then
+       admissible t v nb t.dist_cust
+     else has (As_graph.providers g v) nb && admissible t v nb t.export_len
 
-(* Allocation-free per-entry accessors for hot loops (index 0 is the
-   default route, matching [rib]'s head).  Under [Boxed] they read the
-   memoized boxed RIB instead of packed cells. *)
+(* [m] when a better class already gave a cell ([m < max_int]), else the
+   smallest admissible cell of this class, [skip] excluded ([max_int]
+   when none). *)
+let min_cell t v ~skip rank nbrs lens m =
+  if m < max_int then m
+  else begin
+    let m = ref max_int in
+    for i = 0 to Array.length nbrs - 1 do
+      let nb = nbrs.(i) in
+      if nb <> skip && admissible t v nb lens then begin
+        let c = cell rank lens nb in
+        if c < !m then m := c
+      end
+    done;
+    !m
+  end
 
-let[@inline] rib_via t v i =
-  if Array.length t.csr_off > 0 then cell_via t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).via
-
-let[@inline] rib_len_at t v i =
-  if Array.length t.csr_off > 0 then cell_len t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).len
-
-let[@inline] rib_rel_at t v i =
-  if Array.length t.csr_off > 0 then cell_rel t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).rel
-
-(* The concrete AS path behind a RIB entry.  A neighbor advertises, to a
-   provider or peer, its best customer route; to a customer, its selected
-   best route.  Gao-Rexford selection prefers customer routes, so
-   whenever a customer route exists it IS the selected route — in every
-   export case the advertised path is the neighbor's selected default
-   path, and the entry's path is us prepended to it. *)
-let rib_path t v (e : rib_entry) =
-  (match e.rel with
-   | Relationship.Customer | Relationship.Peer ->
-     (* exported-to-us customer route: exists iff the neighbor has one *)
-     if t.dist_cust.(e.via) < 0 && e.via <> t.dest then
-       invalid_arg "Routing.rib_path: neighbor exported no customer route"
-   | Relationship.Provider ->
-     if t.export_len.(e.via) < 0 && e.via <> t.dest then
-       invalid_arg "Routing.rib_path: neighbor exported no route");
-  v :: default_path t e.via
-
-let rib_paths t v =
-  List.map (fun e -> (e, rib_path t v e)) (rib t v)
+(* The row's head is the default route, so cell [1] is the smallest
+   admissible cell of any other neighbour.  The classes are scanned in
+   rank order, and a class that yields a cell ends the search. *)
+let first_alternative t v =
+  let r = t.rows.(v) in
+  if r != unbuilt then if Array.length r > 1 then cell_via r.(1) else -1
+  else if t.next.(v) < 0 then -1
+  else begin
+    let g = t.graph and skip = t.next.(v) in
+    let m = min_cell t v ~skip 0 (As_graph.customers g v) t.dist_cust max_int in
+    let m = min_cell t v ~skip 1 (As_graph.peers g v) t.dist_cust m in
+    let m = min_cell t v ~skip 2 (As_graph.providers g v) t.export_len m in
+    if m = max_int then -1 else cell_via m
+  end

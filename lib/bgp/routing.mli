@@ -17,42 +17,48 @@
     peer routes in one step, provider routes down the hierarchy in
     topological order) and runs in O(V + E) per destination.
 
-    {b Thread safety.}  A [t] is immutable except for the per-node RIB
-    memo, whose fill is idempotent: concurrent accessors on a shared [t]
-    from several domains are safe (a racy refill produces a structurally
-    identical value; at worst a node's RIB is computed twice).  The
-    selected-route tree used by {!on_selected_path} is built eagerly at
-    construction, so {!compute} results can be cached and shared across
-    domains freely — which is exactly what
-    {!Routing_table.precompute} does. *)
+    The tree pass is int-only: array BFS, argmin scans over the sorted
+    neighbour arrays and an int-stack DFS over a CSR of the tree, with
+    per-domain scratch, so {!compute} allocates only its result and a
+    copy of the graph's topological order.  The local RIB of a node
+    (its {e row}) is not built by {!compute}: it is built the first
+    time it is read, so work that reads rows only where it acts (MIFO
+    and MIRO at congested nodes; the BGP baseline reads none) pays only
+    for those.
+
+    {b Thread safety.}  A [t] is immutable except for its row slots.  A
+    row is built in a fresh array whose cells are written as it is
+    allocated (copied from the building domain's private scratch), then
+    published by a single store into the node's slot.  The store is
+    idempotent: every build of a row yields the same cells, so when two
+    domains race on an unbuilt row each builds it and the later store
+    replaces the row with an equal one.  A reader that loads the slot
+    sees either the unbuilt marker (and builds the row itself) or a
+    complete row, because OCaml 5 makes a block's initialising writes
+    visible to any domain that obtains a pointer to it.  So {!compute}
+    results can be cached and shared across domains freely — which is
+    exactly what {!Routing_table.precompute} does. *)
 
 type route_class = Customer_route | Peer_route | Provider_route
-
-val class_rank : route_class -> int
-val class_to_string : route_class -> string
-
-type rep = Csr | Boxed
-(** RIB representation.  {!Csr} (the default) packs every node's sorted
-    RIB into one shared arena of [(rank, len, via)]-packed ints plus an
-    offset array, built eagerly at {!compute} — at 44K ASes this is a
-    pair of flat arrays instead of 44K boxed per-node structures, and
-    {!rib_size}/{!rib_via}/{!rib_len_at}/{!rib_rel_at} never allocate.
-    {!Boxed} is the original on-demand per-node representation, kept as
-    the oracle; QCheck gates in [test_bgp] assert the two produce
-    identical RIBs.  The boxed {!rib}/{!rib_array} views exist under
-    both (thin memoized adapters over the cells under {!Csr}). *)
-
-val rep_name : rep -> string
 
 type t
 (** Routing state toward one destination. *)
 
 val dest : t -> int
 
-val compute : ?rep:rep -> Mifo_topology.As_graph.t -> int -> t
-(** [compute g d].  @raise Invalid_argument if [d] is out of range. *)
+val compute : Mifo_topology.As_graph.t -> int -> t
+(** [compute g d].  @raise Invalid_argument if [d] is out of range.
+    @raise Failure (see {!check_next_hop}) if the next-hop phase
+    contradicts the route classes and lengths of the first three
+    phases, which the construction rules out. *)
 
-val rep : t -> rep
+val check_next_hop :
+  dest:int -> node:int -> route_class -> via:int -> len:int -> expected:int -> unit
+(** The invariant {!compute} checks at every node: the best neighbour
+    [via] of the selected route's class exists ([via >= 0]) and the
+    route through it has the selected length ([len = expected]).
+    @raise Failure naming [dest], [node] and the route class when
+    either fails. *)
 
 val reachable : t -> int -> bool
 (** Every AS is reachable in a connected topology (provider routes reach
@@ -81,7 +87,13 @@ val default_path : t -> int -> int list
 (** [default_path t s] is the full default AS path [s; ...; d] obtained by
     following default next hops.  At most [V] hops by construction. *)
 
-(** {1 The local RIB} *)
+(** {1 The local RIB}
+
+    A node's RIB holds one route per exporting neighbour, sorted
+    best-first (class, then length, then next-hop id); index [0] is the
+    default route, [1 ..] the alternatives.  The packed accessors read
+    the node's row, building it on first read; none allocates once the
+    row exists.  The row is empty at the destination. *)
 
 type rib_entry = {
   via : int;  (** the neighbor that exported the route *)
@@ -89,58 +101,32 @@ type rib_entry = {
   len : int;  (** AS-path length of the route via this neighbor *)
 }
 
-val rib : t -> int -> rib_entry list
-(** All routes in the local RIB of an AS toward [dest t], one per
-    exporting neighbor, sorted best-first (class, then length, then
-    next-hop id).  The head is the default route.  Empty at the
-    destination.  Memoized per node: the first call scans the
-    neighborhood and sorts, every later call returns the same list
-    without allocating — callers in per-epoch loops ({!Mifo_core}'s
-    selectors, the simulators, {!Path_count}) hit the cached value. *)
-
-val rib_array : t -> int -> rib_entry array
-(** The same RIB as an array (shared, memoized — do {b not} mutate).
-    The allocation-free form for hot loops that only iterate. *)
-
-val alternatives : t -> int -> rib_entry list
-(** [rib] minus the default entry — exactly the paths MIFO can deflect
-    to. *)
-
 val rib_size : t -> int -> int
-(** Number of RIB entries at an AS — O(1) and allocation-free under
-    {!Csr} (an offset subtraction). *)
-
-(** {2 Allocation-free entry accessors}
-
-    [rib_via t v i] / [rib_len_at t v i] / [rib_rel_at t v i] read field
-    by field what [(rib_array t v).(i)] holds, without materialising the
-    boxed view — index [0] is the default route, [1 ..] the
-    alternatives, exactly {!rib}'s order.  Under {!Csr} these are plain
-    reads of the packed cell arena; the static verifier's product-DFS
-    iterates RIBs this way at 44K without touching the memo.  Indices
-    must be [< rib_size t v]. *)
+(** Number of RIB entries at an AS. *)
 
 val rib_via : t -> int -> int -> int
 val rib_len_at : t -> int -> int -> int
 val rib_rel_at : t -> int -> int -> Mifo_topology.Relationship.t
+(** [rib_via t v i] / [rib_len_at t v i] / [rib_rel_at t v i] are the
+    neighbour, AS-path length and relationship of entry [i] of [v]'s
+    RIB.  Indices must be [< rib_size t v]. *)
 
-val rib_path : t -> int -> rib_entry -> int list
-(** [rib_path t v e] is the concrete AS path [v; e.via; ...; dest t]
-    advertised by the RIB entry [e] at [v].  Because Gao–Rexford
-    selection prefers customer routes, the advertised route coincides
-    with the neighbor's selected default path in every export case, so
-    the result is [v :: default_path t e.via].  Its hop count equals
-    [e.len]; the static verifier ({!Mifo_analysis}) checks both that and
-    its valley-freeness for every entry of every RIB.
-    @raise Invalid_argument if [e] is not a live export (never for
-    entries returned by {!rib}). *)
+val rib : t -> int -> rib_entry list
+(** The whole RIB of an AS as records, decoded afresh on every call —
+    for cold callers (replay, the CLI's path inspection, tests).  Hot
+    loops use the packed accessors. *)
 
-val rib_paths : t -> int -> (rib_entry * int list) list
-(** Every RIB entry at an AS paired with its {!rib_path} — the full set
-    of paths MIFO forwarding can put a packet on from that AS. *)
+val rib_mem : t -> int -> int -> bool
+(** [rib_mem t v nb]: does [v]'s RIB hold a route via [nb]?  Answered
+    from the route state in O(log degree) without building the row. *)
+
+val first_alternative : t -> int -> int
+(** [rib_via t v 1] when [rib_size t v > 1], else [-1].  Read from the
+    row when it is built, otherwise answered in O(degree) without
+    building it. *)
 
 val on_selected_path : t -> node:int -> int -> bool
 (** [on_selected_path t ~node x] — does [x] lie on [node]'s selected
     default path (endpoints included)?  O(1) against the DFS interval
-    labelling built at construction; this is the predicate behind
-    [rib]'s BGP loop filter. *)
+    labelling built at construction; this is the predicate behind the
+    RIB's BGP loop filter. *)

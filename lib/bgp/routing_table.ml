@@ -88,9 +88,6 @@ let precompute ?pool t dests =
   Parallel.parallel_for pool ~lo:0 ~hi:(Array.length dests) (fun i ->
       ignore (get t dests.(i)))
 
-let precompute_all ?pool t =
-  precompute ?pool t (Array.init (Mifo_topology.As_graph.n t.graph) Fun.id)
-
 let cached_count t =
   Array.fold_left
     (fun acc shard ->

@@ -1,10 +1,10 @@
 (** Cache of per-destination routing states.
 
     Experiments query routes toward many destinations; this table
-    memoizes {!Routing.compute} per destination.  [precompute] (and
-    [precompute_all]) fan the independent per-destination computations
-    out over a {!Mifo_util.Parallel} domain pool; larger graphs can rely
-    on lazy filling with an optional bound on the number of cached
+    memoizes {!Routing.compute} per destination.  [precompute] fans the
+    independent per-destination computations out over a
+    {!Mifo_util.Parallel} domain pool; larger graphs can rely on lazy
+    filling with an optional bound on the number of cached
     destinations.
 
     {b Thread safety.}  The table is safe to use from any number of
@@ -43,8 +43,5 @@ val precompute : ?pool:Mifo_util.Parallel.pool -> t -> int array -> unit
     domains ([pool] defaults to {!Mifo_util.Parallel.get_default}).
     Results are identical to serial [get]s — only the wall-clock
     changes. *)
-
-val precompute_all : ?pool:Mifo_util.Parallel.pool -> t -> unit
-(** [precompute] over every destination of the graph. *)
 
 val cached_count : t -> int

@@ -1,25 +1,23 @@
 module Routing = Mifo_bgp.Routing
 
-let rec take n = function
-  | [] -> []
-  | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
 let ranked_alternatives rt ~src_as ~upstream ~spare ~k =
   (* Pool-cap FIRST, in RIB preference order: the k-limited static
-     verifier admits deflections onto the first k RIB alternatives, so
-     the runtime chooser must draw from exactly that pool for the check
-     to be sound.  Every pool entry is next-hop-disjoint from the
-     default route (the RIB holds one entry per neighbor and
-     [alternatives] excludes the head). *)
-  let pool = take (Stdlib.min k Fib.max_alts) (Routing.alternatives rt src_as) in
-  let pool =
-    List.filter
-      (fun (e : Routing.rib_entry) ->
-        Policy.deflection_allowed ~upstream ~downstream:e.rel && spare e.via > 0.)
-      pool
-  in
+     verifier admits deflections onto the first k RIB alternatives
+     (indices 1 .. k), so the runtime chooser must draw from exactly
+     that pool for the check to be sound.  Every pool entry is
+     next-hop-disjoint from the default route (the RIB holds one entry
+     per neighbor and index 0 is the default). *)
+  let last = Stdlib.min (Stdlib.min k Fib.max_alts) (Routing.rib_size rt src_as - 1) in
+  let pool = ref [] in
+  for i = last downto 1 do
+    let via = Routing.rib_via rt src_as i in
+    if
+      Policy.deflection_allowed ~upstream ~downstream:(Routing.rib_rel_at rt src_as i)
+      && spare via > 0.
+    then pool := via :: !pool
+  done;
   List.stable_sort
-    (fun (a : Routing.rib_entry) (b : Routing.rib_entry) ->
-      let c = Float.compare (spare b.via) (spare a.via) in
-      if c <> 0 then c else Int.compare a.via b.via)
-    pool
+    (fun a b ->
+      let c = Float.compare (spare b) (spare a) in
+      if c <> 0 then c else Int.compare a b)
+    !pool

@@ -16,13 +16,14 @@ val ranked_alternatives :
   upstream:Mifo_topology.Relationship.t option ->
   spare:(int -> float) ->
   k:int ->
-  Mifo_bgp.Routing.rib_entry list
-(** The ranked candidate set for the k-alternative data plane: the
-    first [min k Fib.max_alts] RIB alternatives (BGP preference order),
+  int list
+(** The ranked candidate set for the k-alternative data plane, as the
+    neighbours the alternatives go through: the first
+    [min k Fib.max_alts] RIB alternatives (BGP preference order),
     valley-free-filtered for [upstream] and restricted to first-hop
     links with positive [spare], ordered most spare capacity first
     (ties to the lower neighbor id).  Pool-capping happens {e before}
     filtering, in RIB preference order, so a k-limited static check
     that admits deflections onto the first k RIB alternatives soundly
-    over-approximates every set this function can return.  All entries
+    over-approximates every set this function can return.  All of them
     are next-hop-disjoint from the default route. *)

@@ -54,8 +54,9 @@ val epoch_ranked :
 (** One daemon tick over ranked sets.  [port_utilization p] is the
     smoothed utilization of egress port [p] in \[0, 1\];
     [choose_alts prefix entry] returns the ranked alternative ports for
-    [prefix] (best first, truncated at {!Fib.max_alts}), typically via
-    {!Alt_select.ranked_alternatives} plus the router's port map. *)
+    [prefix] (best first, truncated at {!Fib.max_alts}), typically the
+    neighbours {!Alt_select.ranked_alternatives} ranks, mapped to ports
+    by the router's port map. *)
 
 val epoch :
   ?config:config ->

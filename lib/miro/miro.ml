@@ -6,18 +6,31 @@ type config = { cap : int }
 
 let default_config = { cap = 5 }
 
+(* RIB entries after the default in the default's preference class,
+   via a MIRO-capable neighbor, best-first, at most [cap] of them. *)
 let candidates ?(config = default_config) rt ~deployment ~src =
-  if src = Routing.dest rt || not (Deployment.capable deployment src) then []
-  else
-    match Routing.rib rt src with
-    | [] -> []
-    | default :: rest ->
-      let same_class (e : Routing.rib_entry) =
-        Relationship.preference_rank e.rel
-        = Relationship.preference_rank default.rel
-        && Deployment.capable deployment e.via
-      in
-      List.filteri (fun i _ -> i < config.cap) (List.filter same_class rest)
+  if
+    src = Routing.dest rt
+    || (not (Deployment.capable deployment src))
+    || Routing.rib_size rt src = 0
+  then []
+  else begin
+    let size = Routing.rib_size rt src in
+    let rank = Relationship.preference_rank (Routing.rib_rel_at rt src 0) in
+    let acc = ref [] and taken = ref 0 in
+    for i = 1 to size - 1 do
+      let via = Routing.rib_via rt src i in
+      if
+        !taken < config.cap
+        && Relationship.preference_rank (Routing.rib_rel_at rt src i) = rank
+        && Deployment.capable deployment via
+      then begin
+        incr taken;
+        acc := via :: !acc
+      end
+    done;
+    List.rev !acc
+  end
 
 let available_path_count ?config rt ~deployment ~src =
   if src = Routing.dest rt then 1
@@ -37,8 +50,8 @@ let alternate_paths ?config rt ~deployment ~src =
       path
   in
   candidates ?config rt ~deployment ~src
-  |> List.filter_map (fun (e : Routing.rib_entry) ->
-         let path = src :: Routing.default_path rt e.via in
+  |> List.filter_map (fun via ->
+         let path = src :: Routing.default_path rt via in
          if has_dup path then None else Some path)
 
 let extra_announcements ?config rt ~deployment =

@@ -33,10 +33,11 @@ val candidates :
   Mifo_bgp.Routing.t ->
   deployment:Mifo_core.Deployment.t ->
   src:int ->
-  Mifo_bgp.Routing.rib_entry list
-(** The alternate first hops the source may tunnel to (excluding the
-    default route), best-first, already filtered by capability, class and
-    cap.  Empty when [src] is not MIRO-capable or has no RIB. *)
+  int list
+(** The alternate first hops (neighbor ASes) the source may tunnel to
+    (excluding the default route), best-first, already filtered by
+    capability, class and cap.  Empty when [src] is not MIRO-capable or
+    has no RIB. *)
 
 val available_path_count :
   ?config:config ->

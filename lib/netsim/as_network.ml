@@ -28,7 +28,19 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
   let dests = Array.of_list (List.sort_uniq Int.compare hosts) in
   (* One routing state per host prefix; the computations are independent
      so they fan out across the domain pool before the serial FIB fill. *)
-  Routing_table.precompute ?pool table dests;
+  let pool = match pool with Some p -> p | None -> Mifo_util.Parallel.get_default () in
+  Routing_table.precompute ~pool table dests;
+  (* The first RIB alternative of every capable AS toward every host
+     prefix (-1 = none), answered without building RIB rows and fanned
+     out like the routing states. *)
+  let first_alts =
+    Mifo_util.Parallel.parallel_map pool
+      (fun d ->
+        let rt = Routing_table.get table d in
+        Array.init n (fun v ->
+            if Deployment.capable deployment v then Routing.first_alternative rt v else -1))
+      dests
+  in
   let sim = Packetsim.create ?config () in
   let router_of_as = Array.init n (fun v -> Packetsim.add_router sim ~as_id:v) in
   (* Egress ports in CSR form, aligned with the sorted neighbor arrays:
@@ -79,6 +91,7 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
     (fun d ->
       let prefix = Prefix.of_as d in
       let rt = Routing_table.get table d in
+      let first_alt = first_alts.(Sort.find_first dests d) in
       for v = 0 to n - 1 do
         let fib = Packetsim.fib sim router_of_as.(v) in
         if v = d then Fib.insert fib prefix ~out_port:local_port.(v) ()
@@ -87,10 +100,9 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
           | None -> ()
           | Some nh ->
             let out_port = port_toward v nh in
-            if Deployment.capable deployment v && Routing.rib_size rt v > 1 then
-              Fib.insert fib prefix ~out_port
-                ~alt_port:(port_toward v (Routing.rib_via rt v 1))
-                ()
+            let alt = first_alt.(v) in
+            if alt >= 0 then
+              Fib.insert fib prefix ~out_port ~alt_port:(port_toward v alt) ()
             else Fib.insert fib prefix ~out_port ()
       done)
     hosts;

@@ -51,9 +51,11 @@ val build :
     inter-AS link; [host_rate] (default [link_rate]) sets the host access
     links — raise it to keep end hosts from being the bottleneck.
 
-    The per-host routing computations are fanned out over [pool]
-    (default {!Mifo_util.Parallel.get_default}) before the serial
-    network wiring; the built network is identical for any pool size.
+    The per-host routing computations, and each host prefix's first
+    alternatives ({!Mifo_bgp.Routing.first_alternative}, which builds no
+    RIB row), are fanned out over [pool] (default
+    {!Mifo_util.Parallel.get_default}) before the serial network
+    wiring; the built network is identical for any pool size.
 
     @raise Invalid_argument if a listed AS id is out of range. *)
 

@@ -428,10 +428,10 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
              own link to the tunnel entry — the same local measurement
              MIFO uses; neither protocol can probe end-to-end available
              bandwidth at line speed (Section III-C). *)
-          let score (e : Routing.rib_entry) =
-            let path = splice f.rt f.path 0 e.via in
+          let score via =
+            let path = splice f.rt f.path 0 via in
             if path_has_dup path then None
-            else Some (path, spare (Links.id links_reg src e.via))
+            else Some (path, spare (Links.id links_reg src via))
           in
           let best =
             List.fold_left

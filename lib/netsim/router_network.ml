@@ -119,7 +119,14 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~expansion ~deployment ~ho
             let egress = expansion.Router_level.link_router (v, nh) in
             let _, egress_port = Hashtbl.find ebgp_port (v, nh) in
             let capable = Deployment.capable deployment v in
-            let alts = if capable then Routing.alternatives rt v else [] in
+            (* the RIB alternatives: entries 1 .. size-1 *)
+            let alts =
+              if capable then
+                List.init
+                  (Stdlib.max 0 (Routing.rib_size rt v - 1))
+                  (fun i -> Routing.rib_via rt v (i + 1))
+              else []
+            in
             Array.iter
               (fun r ->
                 let fib = Packetsim.fib sim node_of_router.(r) in
@@ -128,9 +135,9 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~expansion ~deployment ~ho
                 in
                 let candidates =
                   List.map
-                    (fun (e : Routing.rib_entry) ->
-                      let owner = expansion.Router_level.link_router (v, e.via) in
-                      let _, owner_port = Hashtbl.find ebgp_port (v, e.via) in
+                    (fun via ->
+                      let owner = expansion.Router_level.link_router (v, via) in
+                      let _, owner_port = Hashtbl.find ebgp_port (v, via) in
                       let local_port =
                         if owner = r then owner_port
                         else Hashtbl.find ibgp_port (r, owner)

@@ -71,7 +71,9 @@ val add_gauge : gauge -> float -> unit
 val max_gauge : gauge -> float -> unit
 (** [max_gauge g x] keeps the running maximum: the gauge becomes
     [max current x] (an unset [nan] gauge takes [x]).  The high-water
-    helper behind peak-memory gauges such as [routing.peak_words]. *)
+    helper behind peak-memory gauges such as [routing.peak_words], which
+    is sampled at the end of each [Routing.compute]: RIB rows, built
+    later on first read, are not in it. *)
 
 val gauge_value : string -> float
 (** Current value of the named gauge, [nan] if unset or unknown. *)

@@ -1,7 +1,7 @@
 (* Reference builder for {!Mifo_netsim.As_network.build}: the original
    wiring, kept here as the oracle of the differential test in
-   [test_network].  It reads the boxed, memoized RIB
-   ([Routing.alternatives]), keys egress ports by [(AS, neighbor)] pairs
+   [test_network].  It reads the boxed RIB
+   ([Routing_oracle.rib_alternatives]), keys egress ports by [(AS, neighbor)] pairs
    and precomputes every chooser's candidate list into an
    [(AS, network)]-keyed table.  The production builder must produce the
    same network, FIB entries and daemon choices. *)
@@ -84,9 +84,7 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
             let out_port = Hashtbl.find port_of (v, nh) in
             if Deployment.capable deployment v then begin
               let alts =
-                (* memoized RIB: the scan+sort ran at most once per
-                   (destination, AS) pair, not once per call *)
-                Routing.alternatives rt v
+                Routing_oracle.rib_alternatives rt v
                 |> List.map (fun (e : Routing.rib_entry) ->
                        (e.via, Hashtbl.find port_of (v, e.via)))
               in

@@ -3,7 +3,7 @@
    [test_netsim] and of the flowsim rows of [bench/main.exe sim].  Every
    epoch after the first it ranks all active flows with a polymorphic
    closure sort, whatever the protocol; it picks alternatives through
-   the boxed RIB lists ([Routing.alternatives]) and the generic
+   the boxed RIB lists ([Routing_oracle.rib_alternatives]) and the generic
    [best_by] fold below; it numbers links through an [(u * n + v)]-keyed
    [Hashtbl]; it looks the flow's routing state up in the table on
    every congested hop; and it solves every epoch from scratch with the
@@ -28,7 +28,23 @@ let permitted rt ~src_as ~upstream =
   let allowed (e : Routing.rib_entry) =
     Policy.deflection_allowed ~upstream ~downstream:e.rel
   in
-  List.filter allowed (Routing.alternatives rt src_as)
+  List.filter allowed (Routing_oracle.rib_alternatives rt src_as)
+
+(* The former [Mifo_miro.Miro.candidates], over the boxed RIB: the
+   alternates after the default in its preference class, via a
+   MIRO-capable neighbor, at most [cap] of them. *)
+let miro_candidates ~cap rt ~deployment ~src =
+  if src = Routing.dest rt || not (Deployment.capable deployment src) then []
+  else
+    match Routing.rib rt src with
+    | [] -> []
+    | default :: rest ->
+      let same_class (e : Routing.rib_entry) =
+        Mifo_topology.Relationship.preference_rank e.rel
+        = Mifo_topology.Relationship.preference_rank default.rel
+        && Deployment.capable deployment e.via
+      in
+      List.filteri (fun i _ -> i < cap) (List.filter same_class rest)
 
 (* Maximizes [score] over the permitted alternatives; ties go to the
    lower neighbor id; [None] when nothing scores above 0. *)
@@ -266,11 +282,7 @@ let run ?(params = Flowsim.default_params) ?(failures = []) table protocol
       let bottleneck_congested = Array.exists congested f.links in
       if f.on_default && bottleneck_congested then begin
         let rt = Routing_table.get table f.spec.dst in
-        let candidates =
-          Mifo_miro.Miro.candidates
-            ~config:{ Mifo_miro.Miro.cap = miro_cap }
-            rt ~deployment ~src
-        in
+        let candidates = miro_candidates ~cap:miro_cap rt ~deployment ~src in
         let score (e : Routing.rib_entry) =
           let path = splice rt f.path 0 e.via in
           if path_has_dup path then None

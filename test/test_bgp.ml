@@ -8,6 +8,7 @@ module Path_count = Mifo_bgp.Path_count
 module As_graph = Mifo_topology.As_graph
 module Relationship = Mifo_topology.Relationship
 module Generator = Mifo_topology.Generator
+module Routing_oracle = Mifo_oracle.Routing_oracle
 
 (* ---------- Prefix ---------- *)
 
@@ -83,7 +84,7 @@ let test_gadget_routing () =
   (* each also has two alternative peer routes in its RIB *)
   List.iter
     (fun v ->
-      let alts = Routing.alternatives rt v in
+      let alts = List.tl (Routing.rib rt v) in
       Alcotest.(check int) "two alternatives" 2 (List.length alts);
       List.iter
         (fun (e : Routing.rib_entry) ->
@@ -115,7 +116,7 @@ let test_customer_beats_shorter_peer () =
     (Routing.best_class rt 1 = Some Routing.Customer_route);
   Alcotest.(check (list int)) "long way down" [ 1; 2; 3; 0 ] (Routing.default_path rt 1);
   (* the peer route is still in the RIB as an alternative *)
-  let alts = Routing.alternatives rt 1 in
+  let alts = List.tl (Routing.rib rt 1) in
   Alcotest.(check bool) "peer alternative present" true
     (List.exists (fun (e : Routing.rib_entry) -> e.via = 4 && e.len = 2) alts)
 
@@ -223,40 +224,108 @@ let prop_rib_entries_consistent =
             | None -> false))
         (Routing.rib rt s))
 
-(* The CSR arena representation (the default) must produce exactly the
-   RIBs of the boxed oracle, and the packed per-entry accessors must
-   read field-for-field what the boxed view holds. *)
-let prop_csr_matches_boxed =
-  QCheck2.Test.make ~name:"routing: CSR and boxed reps produce identical RIBs"
-    ~count:12 (QCheck2.Gen.int_bound 1_999)
-    (fun d ->
-      let g = graph () in
-      let csr = Routing.compute ~rep:Routing.Csr g d in
-      let boxed = Routing.compute ~rep:Routing.Boxed g d in
-      (match (Routing.rep csr, Routing.rep boxed) with
-       | Routing.Csr, Routing.Boxed -> ()
-       | _ -> QCheck2.Test.fail_report "rep accessor lies");
-      for v = 0 to As_graph.n g - 1 do
-        let rc = Routing.rib csr v and rb = Routing.rib boxed v in
-        if rc <> rb then QCheck2.Test.fail_report "rib lists diverged";
-        let k = Routing.rib_size csr v in
-        if k <> List.length rb || k <> Routing.rib_size boxed v then
-          QCheck2.Test.fail_report "rib_size diverged";
-        List.iteri
-          (fun i (e : Routing.rib_entry) ->
-            if
-              Routing.rib_via csr v i <> e.via
-              || Routing.rib_len_at csr v i <> e.len
-              || Routing.rib_rel_at csr v i <> e.rel
-              || Routing.rib_via boxed v i <> e.via
-              || Routing.rib_len_at boxed v i <> e.len
-              || Routing.rib_rel_at boxed v i <> e.rel
-            then QCheck2.Test.fail_report "packed accessors diverged")
-          rb
-      done;
-      true)
+(* Production route computation must agree with the reference in the
+   oracle library on every node: the tree-pass outputs, the RIB rows
+   through every accessor, and the row-free [rib_mem] and
+   [first_alternative] answers. *)
+let all_nodes_agree g d =
+  let rt = Routing.compute g d and o = Routing_oracle.compute g d in
+  for v = 0 to As_graph.n g - 1 do
+    if not (Routing_oracle.agrees o rt v) then
+      QCheck2.Test.fail_reportf "destination %d, node %d: production and oracle differ" d v
+  done;
+  true
 
-(* The CSR build records its heap high-water mark. *)
+let prop_routing_matches_oracle =
+  QCheck2.Test.make ~name:"oracle gate: 2K snapshot"
+    ~count:12 (QCheck2.Gen.int_bound 1_999)
+    (fun d -> all_nodes_agree (graph ()) d)
+
+(* A random graph on [n] ASes: each pair is unlinked, provider-customer
+   (the lower id the provider, so there is no provider cycle) or
+   peer-peer.  Sparse draws leave ASes unreachable, small ones make
+   equal-length ties common. *)
+let random_graph ~n ~seed =
+  let rng = Mifo_util.Prng.create ~seed () in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      match Mifo_util.Prng.int rng 10 with
+      | 0 | 1 | 2 -> edges := (u, v, As_graph.Provider_customer) :: !edges
+      | 3 -> edges := (u, v, As_graph.Peer_peer) :: !edges
+      | _ -> ()
+    done
+  done;
+  As_graph.create ~n ~edges:!edges
+
+let prop_routing_matches_oracle_small =
+  QCheck2.Test.make ~name:"oracle gate: random small graphs"
+    ~count:300
+    QCheck2.Gen.(triple (int_range 1 40) (int_bound 1_000_000) (int_bound 1_000))
+    (fun (n, seed, d) -> all_nodes_agree (random_graph ~n ~seed) (d mod n))
+
+(* The next-hop invariant's error names the destination, the node and
+   the route class. *)
+let test_next_hop_invariant_message () =
+  let raises_with expected f =
+    match f () with
+    | () -> Alcotest.failf "no error raised, expected %S" expected
+    | exception Failure msg -> Alcotest.(check string) "message" expected msg
+  in
+  Routing.check_next_hop ~dest:7 ~node:3 Routing.Peer_route ~via:5 ~len:2 ~expected:2;
+  raises_with
+    "Routing.compute: invariant broken toward destination 7 at AS 3 (customer route): no \
+     neighbour of that class advertises a route"
+    (fun () ->
+      Routing.check_next_hop ~dest:7 ~node:3 Routing.Customer_route ~via:(-1) ~len:(-1)
+        ~expected:2);
+  raises_with
+    "Routing.compute: invariant broken toward destination 9 at AS 4 (provider route): the \
+     best route via AS 11 has length 3, the selected one 2"
+    (fun () ->
+      Routing.check_next_hop ~dest:9 ~node:4 Routing.Provider_route ~via:11 ~len:3
+        ~expected:2)
+
+(* Rows are built on first read and may be read from several domains at
+   once: two tasks share one [Routing.t] and read every row in
+   ascending, descending and shuffled order; every row they see must be
+   the oracle's. *)
+let test_lazy_rows_concurrent () =
+  let g = graph () in
+  let n = As_graph.n g in
+  let d = 1_234 in
+  let rt = Routing.compute g d and o = Routing_oracle.compute g d in
+  let expected = Array.init n (fun v -> Array.to_list (Routing_oracle.rib o v)) in
+  let shuffled = Array.init n Fun.id in
+  Mifo_util.Prng.shuffle (Mifo_util.Prng.create ~seed:5 ()) shuffled;
+  let orders = [| Array.init n Fun.id; Array.init n (fun i -> n - 1 - i); shuffled |] in
+  let pool = Mifo_util.Parallel.create ~jobs:2 () in
+  let mismatches =
+    Mifo_util.Parallel.parallel_map pool
+      (fun task ->
+        let bad = ref 0 in
+        Array.iter
+          (fun order ->
+            Array.iter
+              (fun v ->
+                let row =
+                  List.init (Routing.rib_size rt v) (fun i ->
+                      {
+                        Routing.via = Routing.rib_via rt v i;
+                        rel = Routing.rib_rel_at rt v i;
+                        len = Routing.rib_len_at rt v i;
+                      })
+                in
+                if row <> expected.(v) then incr bad)
+              order)
+          (if task = 0 then orders else [| orders.(2); orders.(1); orders.(0) |]);
+        !bad)
+      [| 0; 1 |]
+  in
+  Mifo_util.Parallel.shutdown pool;
+  Alcotest.(check (array int)) "rows equal the oracle in both tasks" [| 0; 0 |] mismatches
+
+(* [compute] records its heap high-water mark. *)
 let test_peak_words_gauge () =
   let g = graph () in
   ignore (Routing.compute g 17);
@@ -436,7 +505,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_default_paths_simple;
           QCheck_alcotest.to_alcotest prop_rib_entries_consistent;
           QCheck_alcotest.to_alcotest prop_everything_reachable;
-          QCheck_alcotest.to_alcotest prop_csr_matches_boxed;
+          QCheck_alcotest.to_alcotest prop_routing_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_routing_matches_oracle_small;
+          Alcotest.test_case "next-hop invariant message" `Quick
+            test_next_hop_invariant_message;
+          Alcotest.test_case "lazy rows under concurrency" `Quick test_lazy_rows_concurrent;
           Alcotest.test_case "peak-words gauge exposed" `Quick test_peak_words_gauge;
         ] );
       ( "path_count",

@@ -1030,28 +1030,22 @@ let test_alt_select_best () =
 
 let test_alt_select_ranked () =
   let _, rt = Lazy.force gadget_rt in
-  let vias l = List.map (fun (e : Routing.rib_entry) -> e.Routing.via) l in
   let spare nb = if nb = 3 then 100. else 10. in
   Alcotest.(check (list int)) "most spare first" [ 3; 2 ]
-    (vias (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None ~spare ~k:4));
+    (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None ~spare ~k:4);
   (* the pool is capped at k BEFORE ranking, in RIB preference order, so
      the runtime set stays inside what the k-limited verifier admits *)
   Alcotest.(check (list int)) "k=1 pool is the first RIB alternative" [ 2 ]
-    (vias (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None ~spare ~k:1));
+    (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None ~spare ~k:1);
   Alcotest.(check (list int)) "ties rank by lower AS id" [ 2; 3 ]
-    (vias
-       (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None
-          ~spare:(fun _ -> 5.)
-          ~k:4));
+    (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 5.) ~k:4);
   Alcotest.(check (list int)) "saturated alternatives drop out" [ 3 ]
-    (vias
-       (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None
-          ~spare:(fun nb -> if nb = 3 then 1. else 0.)
-          ~k:4));
+    (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:None
+       ~spare:(fun nb -> if nb = 3 then 1. else 0.)
+       ~k:4);
   Alcotest.(check (list int)) "peer upstream may not deflect to peers" []
-    (vias
-       (Alt_select.ranked_alternatives rt ~src_as:1
-          ~upstream:(Some Relationship.Peer) ~spare ~k:4))
+    (Alt_select.ranked_alternatives rt ~src_as:1 ~upstream:(Some Relationship.Peer) ~spare
+       ~k:4)
 
 (* ---------- Loop_walk: the theorem ---------- *)
 

@@ -235,12 +235,18 @@ let test_mifo_jobs_determinism () =
     let ctx = Context.create ~params ~scale ~seed:11 () in
     let fig7 = Exp.Fig7.run ctx in
     let fig8 = Exp.Fig8.run ~ratios:[ 0.5; 1.0 ] ctx in
-    (fig7, fig8)
+    let fig5 = Exp.Throughput.fig5 ctx and fig6 = Exp.Throughput.fig6 ctx in
+    (fig7, fig8, fig5, fig6)
   in
   let serial = run_at 1 in
   let parallel = run_at 4 in
   Mifo_util.Parallel.set_default_jobs (Mifo_util.Parallel.default_jobs ());
-  let (f7s, f8s) = serial and (f7p, f8p) = parallel in
+  let (f7s, f8s, f5s, f6s) = serial and (f7p, f8p, f5p, f6p) = parallel in
+  Alcotest.(check (pair int int)) "three fig5 and three fig6 panels" (3, 3)
+    (List.length f5s, List.length f6s);
+  (* [compare], not [=]: a NaN statistic must equal itself *)
+  Alcotest.(check bool) "fig5 identical" true (compare f5s f5p = 0);
+  Alcotest.(check bool) "fig6 identical" true (compare f6s f6p = 0);
   List.iter2
     (fun (a : Exp.Fig7.series) (b : Exp.Fig7.series) ->
       Alcotest.(check string) "series label" a.Exp.Fig7.label b.Exp.Fig7.label;
